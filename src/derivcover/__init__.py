@@ -36,7 +36,7 @@ from .dclass import (
     probe_zero,
     separation_witness,
 )
-from .jets import JetContext, Operator, apply_operator, derive, make_context
+from .jets import JetContext, Operator, apply_operator, derive
 from .parse import SourceExpr, parse_func_list, parse_operator, parse_ratfunc
 from .poly import (
     MPoly,

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
@@ -456,7 +457,9 @@ def _cmd_suite(args) -> Report:
 # Argument parsing and entry point
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
@@ -589,10 +592,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str]) -> Report:
     """Execute one CLI invocation and return its report."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    old_limit = poly.set_degree_limit(args.max_degree)
+    args = _build_parser().parse_args(argv)
+    old_limit = poly.get_degree_limit()
     try:
+        poly.set_degree_limit(args.max_degree)
         report = args.handler(args)
     except (KitError, ValueError) as exc:
         command = args.group + (

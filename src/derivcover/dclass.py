@@ -50,11 +50,6 @@ def _check_level(n: int) -> None:
         raise ValueError(f"level must be >= 1, got {n}")
 
 
-def context_for(op: Operator, num_generators: int) -> JetContext:
-    """Fresh context just large enough to apply op to the given generators."""
-    return JetContext(num_generators, op.alphabet_span(), op.max_word_len())
-
-
 def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     """Defect of the order-n identity for op at the element f.
 
@@ -78,7 +73,7 @@ def is_in_dn(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict:
     identity holds for all complex numbers and all derivations.
     """
     _check_level(n)
-    ctx = context_for(op, 1)
+    ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
     defect = dn_defect(ctx, op, n, ctx.gen(0))
     if defect.is_zero():
         return MembershipVerdict(True, defect)
@@ -117,7 +112,7 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
     polarized identity holds at level n.
     """
     _check_level(n)
-    ctx = context_for(op, n + 1)
+    ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     xs = [ctx.gen(i) for i in range(n + 1)]
     lhs = apply_operator(ctx, op, _products_without(xs, frozenset()))
     return lhs - multilinear_rhs(ctx, op, xs)
@@ -132,12 +127,12 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     combination.  Requires op to satisfy the order-n identity.
     """
     _check_level(n)
-    probe_ctx = context_for(op, 1)
+    probe_ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
     if not dn_defect(probe_ctx, op, n, probe_ctx.gen(0)).is_zero():
         raise PreconditionError(
             "parity extraction is only asserted for members of the class"
         )
-    ctx = context_for(op, n + 1)
+    ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     xs = [ctx.gen(i) for i in range(n + 1)]
     s = RatFunc.zero(ctx)
     for x in xs:
@@ -206,14 +201,16 @@ def find_witness(
 ) -> tuple[Assignment, Fraction]:
     """Find an assignment where the defect is nonzero.
 
-    Tries the distinguished point (first length-1 jet = 1, all else 0) first,
-    then seeded uniform draws from {-3..3}, doubling the range after every
+    The assignment covers every symbol allocated in the defect's registry:
+    its generators and the jets reached so far.  Tries the distinguished
+    point (the first allocated length-1 jet = 1, all else 0) first, then
+    seeded uniform draws from {-3..3}, doubling the range after every
     `attempts` failures.  Deterministic given the seed.
     """
     reg = defect.reg
-    all_vars = list(range(reg.num_vars))
+    all_vars = reg.symbols()
     first_jet = next(
-        (v for v in all_vars if reg.kind(v) == "jet" and len(reg.word_of(v)) == 1),
+        (v for v in all_vars if len(reg.word_of(v) or ()) == 1),
         None,
     )
     if first_jet is not None:

@@ -43,10 +43,6 @@ class UnknownLetterError(KitError):
     """A derivation letter index lies outside the context's alphabet."""
 
 
-class CapacityError(KitError):
-    """A context construction would allocate more symbols than allowed."""
-
-
 class ArityError(KitError):
     """A relation was given the wrong number of points."""
 

@@ -10,6 +10,10 @@ the generators; a nonzero defect conversely yields a complex counterexample
 by assigning the jets freely.  This witness principle is what turns the
 universally quantified identities into finite computations.
 
+Jet symbols are allocated when first asked for, as differential algebra
+treats the derivatives of an indeterminate, so a context holds only the
+symbols the Leibniz action has reached.
+
 Words are tuples of 0-based letter indices written outermost-first:
 (0, 1) is D1∘D2, which applies D2 first.  Jet symbols render accordingly,
 e.g. `D2.D1(x3)`.
@@ -18,15 +22,10 @@ e.g. `D2.D1(x3)`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Iterable
-
-from .errors import CapacityError, UnknownLetterError, WordLengthError
+from .errors import UnknownLetterError, WordLengthError
 from .poly import MPoly, Monomial, RatFunc, VarRegistry, mono_mul
 
 Word = tuple[int, ...]
-
-DEFAULT_SYMBOL_LIMIT = 200_000
 
 
 def word_name(word: Word) -> str:
@@ -34,54 +33,29 @@ def word_name(word: Word) -> str:
 
 
 class JetContext(VarRegistry):
-    """Registry of generators plus a fully materialized jet symbol table.
+    """Registry of generators plus jet symbols allocated on first use.
 
-    The table maps (generator, word) to a variable index for every word of
-    length 1..max_word_len; it is built at construction and never mutated, so
-    every downstream operation is pure.
+    `alphabet_size` and `max_word_len` bound the words a symbol may carry.
+    A jet symbol word(g) always gets the same index, whatever else has been
+    allocated: generators come first, then jets ordered by word length, then
+    word, then generator.  Variable order, and with it every rendered
+    polynomial, therefore does not depend on which symbols were reached.
     """
 
     def __init__(
-        self,
-        num_generators: int,
-        alphabet_size: int = 0,
-        max_word_len: int = 0,
-        *,
-        generator_names: Iterable[str] | None = None,
-        symbol_limit: int = DEFAULT_SYMBOL_LIMIT,
+        self, num_generators: int, alphabet_size: int = 0, max_word_len: int = 0
     ) -> None:
         if num_generators < 1:
             raise ValueError("need at least one generator")
         if alphabet_size < 0 or max_word_len < 0:
             raise ValueError("alphabet size and word length must be nonnegative")
-        count = num_generators
-        if alphabet_size > 0:
-            words = 0
-            for length in range(1, max_word_len + 1):
-                words += alphabet_size**length
-            count += num_generators * words
-        if count > symbol_limit:
-            raise CapacityError(
-                f"context would allocate {count} symbols (limit {symbol_limit})"
-            )
         super().__init__()
         self.alphabet_size = alphabet_size
         self.max_word_len = max_word_len
-        names = (
-            list(generator_names)
-            if generator_names is not None
-            else [f"x{i + 1}" for i in range(num_generators)]
+        self._gens = tuple(
+            self.add_generator(f"x{i + 1}") for i in range(num_generators)
         )
-        if len(names) != num_generators:
-            raise ValueError("generator_names length mismatch")
-        self._gens = tuple(self.add_generator(n) for n in names)
-        self._jets: dict[tuple[int, Word], int] = {}
-        if alphabet_size > 0:
-            for length in range(1, max_word_len + 1):
-                for word in product(range(alphabet_size), repeat=length):
-                    for g in self._gens:
-                        name = f"{word_name(word)}({self.name(g)})"
-                        self._jets[(g, word)] = self.add_jet(name, g, word)
+        self._shifted: dict[tuple[int, int], int] = {}
 
     @property
     def gens(self) -> tuple[int, ...]:
@@ -92,31 +66,42 @@ class JetContext(VarRegistry):
         return RatFunc.var(self, self._gens[i])
 
     def jet(self, g: int, word: Word) -> int:
-        """Variable index of the jet symbol word(g)."""
-        return self._jets[(g, word)]
+        """Variable index of the jet symbol word(g), allocated on first request.
 
-    def shifted_symbol(self, letter: int, v: int) -> int:
-        """Variable for one more derivation applied to v: letter·(word of v)."""
-        if not 0 <= letter < self.alphabet_size:
-            raise UnknownLetterError(
-                f"letter D{letter + 1} outside alphabet of size {self.alphabet_size}"
-            )
-        if self.kind(v) == "jet":
-            base = self.base_of(v)
-            word = (letter,) + self.word_of(v)
-        else:
-            base = v
-            word = (letter,)
+        The index is g's position among the generators plus their count times
+        the word read as a bijective base-m numeral (letter i is digit i + 1),
+        which is the word's rank in (length, word) order counted from 1.
+        """
+        if not 0 <= g < len(self._gens) or not word:
+            raise ValueError(f"no jet symbol for generator {g} and word {word!r}")
+        number = 0
+        for letter in word:
+            if not 0 <= letter < self.alphabet_size:
+                raise UnknownLetterError(
+                    f"letter D{letter + 1} outside alphabet of size {self.alphabet_size}"
+                )
+            number = number * self.alphabet_size + letter + 1
         if len(word) > self.max_word_len:
             raise WordLengthError(
                 f"word {word_name(word)} exceeds max word length {self.max_word_len}"
             )
-        return self._jets[(base, word)]
+        v = len(self._gens) * number + g
+        if v not in self:
+            self.add_jet(f"{word_name(word)}({self.name(g)})", g, word, v)
+        return v
 
-
-def make_context(num_generators: int, alphabet_size: int, max_word_len: int) -> JetContext:
-    """Build a context with all jet symbols pre-allocated."""
-    return JetContext(num_generators, alphabet_size, max_word_len)
+    def shifted_symbol(self, letter: int, v: int) -> int:
+        """Variable for one more derivation applied to v: letter·(word of v)."""
+        key = (letter, v)
+        d = self._shifted.get(key)
+        if d is None:
+            word = self.word_of(v)
+            if word is None:
+                d = self.jet(v, (letter,))
+            else:
+                d = self.jet(self.base_of(v), (letter,) + word)
+            self._shifted[key] = d
+        return d
 
 
 # ---------------------------------------------------------------------------

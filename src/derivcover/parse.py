@@ -13,7 +13,7 @@ first and D1 last.
 Rational-function grammar: usual arithmetic over variables matching
 [a-z][0-9]*, nonnegative integer literals, + - * / ^ and parentheses.
 `^` (with an integer literal exponent) binds tightest, then unary minus,
-then * and /, then + and -.
+then * and /, then + and -.  Parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from fractions import Fraction
 from .errors import ParseError, UnknownLetterError
 from .jets import Operator
 from .poly import RatFunc, VarRegistry
+
+# Deeper parentheses would exhaust the interpreter stack in the recursive descent.
+MAX_NESTING = 100
 
 OPERATOR_EXPR = "operator-expr"
 RATFUNC_EXPR = "ratfunc-expr"
@@ -90,6 +93,7 @@ class _Cursor:
     def __init__(self, tokens: list[_Token]) -> None:
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -214,10 +218,12 @@ def _product(cur: _Cursor, reg, allow_new) -> RatFunc:
 
 
 def _signed(cur: _Cursor, reg, allow_new) -> RatFunc:
-    if cur.peek().kind == "-":
+    negate = False
+    while cur.peek().kind == "-":
         cur.next()
-        return -_signed(cur, reg, allow_new)
-    return _power(cur, reg, allow_new)
+        negate = not negate
+    value = _power(cur, reg, allow_new)
+    return -value if negate else value
 
 
 def _power(cur: _Cursor, reg, allow_new) -> RatFunc:
@@ -243,8 +249,12 @@ def _atom(cur: _Cursor, reg, allow_new) -> RatFunc:
             v = reg.add_generator(tok.text)
         return RatFunc.var(reg, v)
     if tok.kind == "(":
+        if cur.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
         cur.next()
+        cur.depth += 1
         value = _sum(cur, reg, allow_new)
+        cur.depth -= 1
         cur.expect(")")
         return value
     raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)

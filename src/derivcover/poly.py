@@ -14,7 +14,7 @@ is constant, den has integer coefficients with content 1 and a positive
 leading coefficient.  Equality of values is therefore equality of
 representation.
 
-Variables live in a VarRegistry, which assigns dense indices and remembers,
+Variables live in a VarRegistry, which assigns indices and remembers,
 for each variable, whether it is an ordinary generator or a jet symbol (the
 formal image of a derivation word applied to a generator).  Jet metadata is
 what lets odd_component grade a jet symbol by its base generator.
@@ -37,9 +37,6 @@ from .errors import (
 
 Monomial = tuple[tuple[int, int], ...]
 
-KIND_GENERATOR = "generator"
-KIND_JET = "jet"
-
 _DEFAULT_DEGREE_LIMIT = 64
 _degree_limit = _DEFAULT_DEGREE_LIMIT
 
@@ -59,60 +56,63 @@ def set_degree_limit(limit: int) -> int:
 
 
 class VarRegistry:
-    """Dense allocation of variables plus per-variable metadata.
+    """Allocation of variables plus per-variable metadata.
 
     Polynomials hold a reference to their registry; operations on polynomials
     from different registries raise ContextMismatchError.  Registries are
-    append-only: existing indices never change meaning.
+    append-only: existing indices never change meaning.  Plain registries
+    number their variables densely; a subclass may place a variable at an
+    explicit index, so the allocated indices need not be contiguous.
     """
 
     def __init__(self) -> None:
-        self._names: list[str] = []
-        self._kinds: list[str] = []
-        self._base: list[int | None] = []
-        self._word: list[tuple[int, ...] | None] = []
+        self._names: dict[int, str] = {}
+        self._base: dict[int, int | None] = {}
+        self._word: dict[int, tuple[int, ...] | None] = {}
         self._by_name: dict[str, int] = {}
 
     @property
     def num_vars(self) -> int:
+        """Number of variables allocated so far."""
         return len(self._names)
 
-    def add_generator(self, name: str) -> int:
-        return self._add(name, KIND_GENERATOR, None, None)
+    def __contains__(self, v: int) -> bool:
+        return v in self._names
 
-    def add_jet(self, name: str, base: int, word: tuple[int, ...]) -> int:
+    def symbols(self) -> list[int]:
+        """Every allocated variable index, ascending."""
+        return sorted(self._names)
+
+    def add_generator(self, name: str) -> int:
+        return self._add(name, None, None, len(self._names))
+
+    def add_jet(self, name: str, base: int, word: tuple[int, ...], index: int) -> int:
         if not word:
             raise ValueError("jet symbols require a nonempty word")
-        return self._add(name, KIND_JET, base, word)
+        return self._add(name, base, word, index)
 
-    def _add(self, name, kind, base, word) -> int:
-        if name in self._by_name:
-            raise ValueError(f"variable name {name!r} already allocated")
-        idx = len(self._names)
-        self._names.append(name)
-        self._kinds.append(kind)
-        self._base.append(base)
-        self._word.append(word)
+    def _add(self, name, base, word, idx) -> int:
+        if name in self._by_name or idx in self._names:
+            raise ValueError(f"variable {name!r} or index {idx} already allocated")
+        self._names[idx] = name
+        self._base[idx] = base
+        self._word[idx] = word
         self._by_name[name] = idx
         return idx
 
     def name(self, v: int) -> str:
         return self._names[v]
 
-    def kind(self, v: int) -> str:
-        return self._kinds[v]
-
     def base_of(self, v: int) -> int | None:
+        """The generator a jet symbol belongs to; None for a generator."""
         return self._base[v]
 
     def word_of(self, v: int) -> tuple[int, ...] | None:
+        """The derivation word of a jet symbol; None for a generator."""
         return self._word[v]
 
     def lookup(self, name: str) -> int | None:
         return self._by_name.get(name)
-
-    def generators(self) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self._kinds) if k == KIND_GENERATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +192,8 @@ class MPoly:
 
     @classmethod
     def var(cls, reg: VarRegistry, v: int) -> "MPoly":
-        if not 0 <= v < reg.num_vars:
-            raise ValueError(f"variable index {v} out of range")
+        if v not in reg:
+            raise ValueError(f"variable index {v} is not allocated")
         return cls(reg, {((v, 1),): Fraction(1)})
 
     @classmethod

@@ -36,6 +36,20 @@ def test_exit_code_error():
     assert report.exit_code == 2
 
 
+def test_bad_degree_budget_is_an_error():
+    report = run(["dn", "check", "--n", "1", "--op", "D1", "--max-degree", "0"])
+    assert report.verdict == "error"
+    assert report.exit_code == 2
+
+
+def test_deeply_nested_function_is_an_error():
+    funcs = "(" * 5000 + "t" + ")" * 5000
+    report = run(["coset", "check", "--funcs", funcs])
+    assert report.verdict == "error"
+    assert report.exit_code == 2
+    assert report.defect.startswith("ParseError")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         run(["dn", "nonsense"])
@@ -57,6 +71,18 @@ def test_cover_commands():
     ring = run(["cover", "ring-check", "--op", "D1.D1"])
     assert ring.verdict == "refuted"
     assert ring.defect == "(0 | 2*D1(x1)*D1(x3))"
+
+
+def test_defect_goldens():
+    assert (
+        run(["dn", "polarize", "--n", "1", "--op", "D2.D1"]).defect
+        == "D1(x1)*D2(x2) + D1(x2)*D2(x1)"
+    )
+    assert (
+        run(["cover", "ring-check", "--op", "D3.D1"]).defect
+        == "(0 | D1(x1)*D3(x3) + D1(x3)*D3(x1))"
+    )
+    assert run(["cover", "preserve", "--n", "1", "--op", "D2.D3"]).defect == "2*D2(x1)*D3(x1)"
 
 
 def test_coset_commands():

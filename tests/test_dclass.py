@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from derivcover.dclass import (
-    context_for,
     default_test_set,
     dn_defect,
     find_witness,
@@ -95,14 +94,14 @@ def test_polarization_matches_diagonal():
     rng = random.Random(3)
     merged: dict = {}
     point = {}
-    for v in range(ctx.num_vars):
+    for v in ctx.symbols():
         key = ctx.word_of(v)  # None for the generators themselves
         if key not in merged:
             merged[key] = Fraction(rng.randint(-5, 5))
         point[v] = merged[key]
-    ctx1 = context_for(op, 1)
+    ctx1 = JetContext(1, op.alphabet_span(), op.max_word_len())
     d1 = dn_defect(ctx1, op, 1, ctx1.gen(0))
-    point1 = {v: merged[ctx1.word_of(v)] for v in range(ctx1.num_vars)}
+    point1 = {v: merged[ctx1.word_of(v)] for v in ctx1.symbols()}
     assert pd.evaluate(point) == d1.evaluate(point1)
 
 
@@ -165,6 +164,16 @@ def test_word_inclusion_up_to_level_four():
             for n in range(length, 5):
                 assert is_in_dn(op, n).in_dn
             assert is_in_dn(op, 5).in_dn
+
+
+def test_distinct_word_of_length_seven():
+    op = Operator.word(range(7))
+    assert is_in_dn(op, 7).in_dn
+    verdict = is_in_dn(op, 6)
+    assert not verdict.in_dn
+    assignment, value = verdict.witness
+    assert value != 0
+    assert verdict.defect.evaluate(assignment) == value
 
 
 def test_strictness_ladder():

@@ -2,19 +2,27 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from derivcover.errors import CapacityError, UnknownLetterError, WordLengthError
-from derivcover.jets import JetContext, Operator, apply_operator, derive, make_context
+from derivcover.errors import UnknownLetterError, WordLengthError
+from derivcover.jets import JetContext, Operator, apply_operator, derive
 from derivcover.poly import MPoly, RatFunc
 
 from helpers import random_ratfunc_small_den
 
 
 def test_context_symbol_counts():
-    assert make_context(1, 1, 2).num_vars == 3  # x, Dx, D.Dx
-    assert make_context(3, 2, 1).num_vars == 9  # 3 generators + 3*2 jets
+    # a context starts with its generators; jets appear as the action reaches them
+    ctx = JetContext(1, 1, 2)
+    assert ctx.num_vars == 1
+    apply_operator(ctx, Operator.word((0, 0)), ctx.gen(0))
+    assert ctx.num_vars == 3  # x, Dx, D.Dx
+    ctx = JetContext(3, 2, 1)
+    assert ctx.num_vars == 3
+    derive(ctx, 1, ctx.gen(0) * ctx.gen(2))
+    assert [ctx.name(v) for v in ctx.symbols()] == ["x1", "x2", "x3", "D2(x1)", "D2(x3)"]
     ctx = JetContext(1, 1, 0)
     assert ctx.num_vars == 1
     with pytest.raises(WordLengthError):
@@ -22,8 +30,28 @@ def test_context_symbol_counts():
 
 
 def test_context_capacity_guard():
-    with pytest.raises(CapacityError):
-        JetContext(2, 4, 9, symbol_limit=10_000)
+    # a full table over this alphabet would hold 699,048 jets; the context
+    # holds the generators and the nine suffixes the word reaches
+    ctx = JetContext(2, 4, 9)
+    word = (3, 2, 1, 0, 3, 2, 1, 0, 3)
+    apply_operator(ctx, Operator.word(word), ctx.gen(0))
+    assert ctx.num_vars == 2 + 9
+    assert ctx.name(ctx.symbols()[-1]) == "D4.D3.D2.D1.D4.D3.D2.D1.D4(x1)"
+    with pytest.raises(WordLengthError):
+        ctx.jet(0, (0,) * 10)
+    with pytest.raises(UnknownLetterError):
+        ctx.jet(0, (4,))
+    assert ctx.num_vars == 2 + 9
+
+
+def test_jet_index_is_the_full_table_position():
+    # every jet keeps its position in the full table (generators, then jets by
+    # word length, word and generator), whatever order it is asked for in
+    ctx = JetContext(2, 3, 3)
+    table = [(g, w) for n in (1, 2, 3) for w in product(range(3), repeat=n) for g in ctx.gens]
+    for position, (g, word) in reversed(list(enumerate(table, start=len(ctx.gens)))):
+        assert ctx.jet(g, word) == position
+    assert ctx.symbols() == list(range(len(ctx.gens) + len(table)))
 
 
 def test_symbol_table_is_injective_and_complete():

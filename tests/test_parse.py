@@ -8,6 +8,7 @@ import pytest
 from derivcover.errors import DivisionByZeroError, ParseError, UnknownLetterError
 from derivcover.jets import Operator
 from derivcover.parse import (
+    MAX_NESTING,
     OPERATOR_EXPR,
     RATFUNC_EXPR,
     SourceExpr,
@@ -135,6 +136,15 @@ def test_operator_render_parse_round_trip():
     for _ in range(250):
         op = random_operator(rng)
         assert parse_operator(op.render()) == op
+
+
+def test_nesting_limit():
+    deep = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_ratfunc(deep).render() == "t"
+    with pytest.raises(ParseError) as err:
+        parse_ratfunc("(" + deep + ")")
+    assert err.value.position == MAX_NESTING
+    assert parse_ratfunc("-" * 5001 + "t").render() == "-t"
 
 
 def random_ratfunc_text(rng) -> str:
