@@ -27,7 +27,6 @@ from .dclass import (
     polarization_defect,
     probe_zero,
 )
-from .errors import KitError
 from .parse import parse_func_list, parse_operator
 from .poly import RatFunc
 
@@ -406,13 +405,10 @@ def _brute_force_relation(funcs: Sequence[RatFunc], *, span: int) -> bool:
     from itertools import product as iproduct
 
     n = len(funcs)
-    monomials = sorted(
-        {m for f in funcs for m in f.as_poly().terms if m != ()}, key=poly.mono_key
-    )
-    vectors = [
-        tuple(f.as_poly().terms.get(m, Fraction(0)) for m in monomials) for f in funcs
-    ]
-    constants = [f.as_poly().terms.get((), Fraction(0)) for f in funcs]
+    coeffs = [dict(f.as_poly().sorted_terms()) for f in funcs]
+    monomials = sorted({m for c in coeffs for m in c if m != ()}, key=poly.mono_key)
+    vectors = [tuple(c.get(m, 0) for m in monomials) for c in coeffs]
+    constants = [c.get((), 0) for c in coeffs]
     rows = len(monomials)
     for eps in iproduct(range(-span, span + 1), repeat=n):
         if all(e == 0 for e in eps):
@@ -590,6 +586,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parsed_params(args) -> dict[str, str]:
+    """Every parsed option, the command's own before the common ones."""
+    common = ("seed", "max_degree", "max_n")
+    routing = ("group", "action", "handler", "format")
+    params = {k: str(v) for k, v in vars(args).items() if k not in common + routing}
+    params.update((k, str(getattr(args, k))) for k in common)
+    return params
+
+
 def run(argv: Sequence[str]) -> Report:
     """Execute one CLI invocation and return its report."""
     args = _build_parser().parse_args(argv)
@@ -597,13 +602,13 @@ def run(argv: Sequence[str]) -> Report:
     try:
         poly.set_degree_limit(args.max_degree)
         report = args.handler(args)
-    except (KitError, ValueError) as exc:
+    except Exception as exc:  # every failure is an error report, never a traceback
         command = args.group + (
             f" {args.action}" if getattr(args, "action", None) else ""
         )
         report = Report(
             command=command,
-            params={},
+            params=_parsed_params(args),
             verdict="error",
             defect=f"{type(exc).__name__}: {exc}",
         )

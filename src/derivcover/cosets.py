@@ -33,7 +33,7 @@ class AffineRelation:
 def solve_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the kernel of the homogeneous system rows * x = 0, by exact
     Gauss-Jordan elimination over the rationals."""
-    m = [list(r) for r in rows]
+    m = [[Fraction(x) for x in r] for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -85,16 +85,10 @@ def affine_relation(funcs: list[RatFunc]) -> AffineRelation | None:
         g = mpoly_gcd(common, f.den)
         common = div_exact(common, g) * f.den
     cleared = [f.num * div_exact(common, f.den) for f in funcs]
-    monomials: set = set()
-    for p in cleared:
-        monomials.update(p.terms)
-    monomials.update(common.terms)
-    ordered = sorted(monomials, key=mono_key)
-    rows = []
-    for m in ordered:
-        row = [p.terms.get(m, Fraction(0)) for p in cleared]
-        row.append(-common.terms.get(m, Fraction(0)))
-        rows.append(row)
+    columns = [dict(p.sorted_terms()) for p in cleared]
+    columns.append({m: -c for m, c in common.sorted_terms()})
+    ordered = sorted({m for col in columns for m in col}, key=mono_key)
+    rows = [[col.get(m, 0) for col in columns] for m in ordered]
     basis = solve_nullspace(rows, n + 1)
     for vec in basis:
         if any(vec[i] != 0 for i in range(n)):

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import binom
-from .dclass import MembershipVerdict, find_witness
+from .dclass import MembershipVerdict, find_witness, level_coefficient
 from .errors import ArityError, ContextMismatchError
 from .jets import JetContext, Operator, apply_operator
 from .poly import RatFunc
@@ -107,7 +106,7 @@ def _fiber_combination(alpha: RatFunc, fibers: list[RatFunc], n: int) -> RatFunc
     """sum_{i=1..n} binom(n+1, i) (-1)^(n-i) alpha^(n+1-i) fibers[i-1]."""
     total = RatFunc.zero(alpha.reg)
     for i in range(1, n + 1):
-        c = binom(n + 1, i) * (-1) ** (n - i)
+        c = level_coefficient(n, i)
         total = total + (alpha ** (n + 1 - i) * fibers[i - 1]).scale(c)
     return total
 
@@ -193,7 +192,7 @@ def rn_reduct_check(n: int) -> bool:
     def shift_constraint(alpha: RatFunc, eps: dict[int, RatFunc]) -> RatFunc:
         total = RatFunc.zero(alpha.reg)
         for i in range(2, n + 1):
-            c = binom(n + 1, i) * (-1) ** (n - i)
+            c = level_coefficient(n, i)
             total = total + (alpha ** (n + 1 - i) * eps[i]).scale(c)
         return total
 

@@ -16,13 +16,13 @@ parity-extraction argument connecting the two are implemented alongside.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .arith import binom
 from .errors import PreconditionError, SearchExhaustedError
 from .jets import JetContext, Operator, apply_operator
 from .poly import RatFunc, odd_component
@@ -50,6 +50,12 @@ def _check_level(n: int) -> None:
         raise ValueError(f"level must be >= 1, got {n}")
 
 
+def level_coefficient(n: int, i: int) -> int:
+    """binom(n+1, i) (-1)^(n-i): the weight of f^(n+1-i) F(f^i) in the
+    order-n identity."""
+    return -math.comb(n + 1, i) if (n - i) % 2 else math.comb(n + 1, i)
+
+
 def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     """Defect of the order-n identity for op at the element f.
 
@@ -60,7 +66,7 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     lhs = apply_operator(ctx, op, f ** (n + 1))
     rhs = RatFunc.zero(ctx)
     for i in range(1, n + 1):
-        c = binom(n + 1, i) * (-1) ** (n - i)
+        c = level_coefficient(n, i)
         rhs = rhs + (f ** (n + 1 - i) * apply_operator(ctx, op, f**i)).scale(c)
     return lhs - rhs
 
@@ -149,7 +155,7 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
         return False
     rhs = RatFunc.zero(ctx)
     for i in range(1, n + 1):
-        c = binom(n + 1, i) * (-1) ** (n - i)
+        c = level_coefficient(n, i)
         rhs = rhs + (s ** (n + 1 - i) * apply_operator(ctx, op, s**i)).scale(c)
     right = odd_component(rhs.as_poly(), gens)
     right_target = multilinear_rhs(ctx, op, xs).scale(factorial)
@@ -170,7 +176,7 @@ def inductive_subsum(n: int) -> RatFunc:
     iterated = Operator.word((0,) * n)
     total = RatFunc.zero(ctx)
     for i in range(1, n + 2):
-        c = binom(n + 2, i) * (-1) ** (n + 1 - i)
+        c = level_coefficient(n + 1, i)
         term = apply_operator(ctx, single, x ** (n + 2 - i)) * apply_operator(
             ctx, iterated, x**i
         )

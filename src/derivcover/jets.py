@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .errors import UnknownLetterError, WordLengthError
-from .poly import MPoly, Monomial, RatFunc, VarRegistry, mono_mul
+from .poly import MPoly, RatFunc, VarRegistry
 
 Word = tuple[int, ...]
 
@@ -109,21 +109,19 @@ class JetContext(VarRegistry):
 
 
 def _derive_poly(ctx: JetContext, letter: int, p: MPoly) -> MPoly:
-    terms: dict[Monomial, Fraction] = {}
-    for mono, c in p.terms.items():
-        for pos, (v, e) in enumerate(mono):
-            d = ctx.shifted_symbol(letter, v)
-            if e == 1:
-                rest = mono[:pos] + mono[pos + 1 :]
-            else:
-                rest = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
-            m = mono_mul(rest, ((d, 1),))
-            acc = terms.get(m, Fraction(0)) + c * e
-            if acc == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
-    return MPoly(ctx, terms)
+    # the term c*m contributes c*e * m/v * d for every v^e in m, with d the
+    # shifted symbol of v; in packed form m/v * d is m plus unit(d) - unit(v)
+    step: dict[int, int] = {}
+    terms: dict = {}
+    get = terms.get
+    for m, c in p.terms.items():
+        for v, e in ctx.exponents(m):
+            s = step.get(v)
+            if s is None:
+                s = step[v] = ctx.unit(ctx.shifted_symbol(letter, v)) - ctx.unit(v)
+            n = m + s
+            terms[n] = get(n, 0) + c * e
+    return MPoly.from_packed(ctx, terms)
 
 
 def derive(ctx: JetContext, letter: int, f: RatFunc) -> RatFunc:

@@ -2,12 +2,32 @@
 
 Representation
 --------------
-A monomial is a tuple of (variable index, exponent) pairs, sorted by index,
-with all exponents > 0; the empty tuple is the constant monomial.  A
-polynomial maps monomials to nonzero Fraction coefficients, so two
-polynomials are equal exactly when their term dictionaries are equal.  The
-canonical term order is graded lexicographic: higher total degree first, ties
-broken by comparing exponents variable by variable in index order.
+A polynomial maps packed monomials to nonzero coefficients.  A packed
+monomial is one Python int made of 16-bit fields: the lowest field holds the
+total degree, and every variable of the registry owns one field above it, in
+the order the variables were allocated (slot s sits at bits 16(s+1) and up).
+The top bit of each field is a guard bit that valid monomials keep clear, so a
+field holds values up to 2**15 - 1.  Multiplying monomials is adding their
+ints, the total degree is the lowest field, and b divides a exactly when
+a - b leaves every guard bit clear: a field that borrows sets its own.  A
+coefficient is an int whenever it is integral and a Fraction only otherwise,
+so two polynomials are equal exactly when their term dictionaries are equal.
+
+Two orders are in play.  Comparing packed ints is a lex order with the
+last-allocated variable most significant; it is admissible, so exact division
+runs in it, and the quotient does not depend on the order.  Every order a
+caller can see is graded lexicographic by variable index (higher total degree
+first, ties broken by comparing exponents variable by variable in index
+order), computed from the unpacked exponents: leading(), sorted_terms(),
+render() and mono_key().  At the boundary a monomial is a tuple of
+(variable index, exponent) pairs sorted by index, with all exponents > 0; the
+empty tuple is the constant monomial.  from_terms() packs such tuples.
+
+No field may overflow.  A monomial whose total degree exceeds 2**15 - 1 is
+refused with DegreeGuardError wherever it could arise: when packing, in every
+product and power, and in the gcd helpers.  Exact division builds no product
+of higher degree than its dividend.  The total-degree guard set with
+set_degree_limit() applies on top of this to the * and ** operators.
 
 A rational function is a pair num/den in fully reduced form: gcd(num, den)
 is constant, den has integer coefficients with content 1 and a positive
@@ -23,8 +43,11 @@ what lets odd_component grade a jet symbol by its base generator.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
-from typing import Iterable, Mapping
+from heapq import heappop, heappush
+from typing import Collection, Iterable, Mapping
 
 from .errors import (
     ContextMismatchError,
@@ -36,7 +59,10 @@ from .errors import (
 )
 
 Monomial = tuple[tuple[int, int], ...]
+Coeff = int | Fraction
 
+_FIELD_BITS = 16  # exponents() reads the fields as array("H") items
+_MAX_EXP = (1 << (_FIELD_BITS - 1)) - 1  # largest exponent or total degree
 _DEFAULT_DEGREE_LIMIT = 64
 _degree_limit = _DEFAULT_DEGREE_LIMIT
 
@@ -55,6 +81,35 @@ def set_degree_limit(limit: int) -> int:
     return old
 
 
+def _field_guard(bound: int, what: str) -> None:
+    if bound > _MAX_EXP:
+        raise DegreeGuardError(
+            f"{what} would reach total degree {bound} > {_MAX_EXP}, "
+            "the most an exponent field holds"
+        )
+
+
+def _limit_guard(bound: int, what: str) -> None:
+    if bound > _degree_limit:
+        raise DegreeGuardError(
+            f"{what} would reach total degree {bound} > limit {_degree_limit}"
+        )
+    _field_guard(bound, what)
+
+
+def _norm(c: Coeff) -> Coeff:
+    """A coefficient in canonical type: int when integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _quo(c: Coeff, d: Coeff) -> Coeff:
+    """Exact quotient of two coefficients in canonical type."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    return _norm(c / d)
+
+
 class VarRegistry:
     """Allocation of variables plus per-variable metadata.
 
@@ -62,7 +117,9 @@ class VarRegistry:
     from different registries raise ContextMismatchError.  Registries are
     append-only: existing indices never change meaning.  Plain registries
     number their variables densely; a subclass may place a variable at an
-    explicit index, so the allocated indices need not be contiguous.
+    explicit index, so the allocated indices need not be contiguous.  Each
+    variable also gets the next exponent field of the packed monomials, in
+    allocation order, so a new variable never moves an existing field.
     """
 
     def __init__(self) -> None:
@@ -70,6 +127,9 @@ class VarRegistry:
         self._base: dict[int, int | None] = {}
         self._word: dict[int, tuple[int, ...] | None] = {}
         self._by_name: dict[str, int] = {}
+        self._slots: list[int] = []  # variable index of each field, bottom up
+        self._shift: dict[int, int] = {}  # variable index -> bit offset of its field
+        self._guard = 1 << (_FIELD_BITS - 1)  # guard bits of every field
 
     @property
     def num_vars(self) -> int:
@@ -98,6 +158,10 @@ class VarRegistry:
         self._base[idx] = base
         self._word[idx] = word
         self._by_name[name] = idx
+        shift = (len(self._slots) + 1) * _FIELD_BITS
+        self._slots.append(idx)
+        self._shift[idx] = shift
+        self._guard |= 1 << (shift + _FIELD_BITS - 1)
         return idx
 
     def name(self, v: int) -> str:
@@ -114,68 +178,51 @@ class VarRegistry:
     def lookup(self, name: str) -> int | None:
         return self._by_name.get(name)
 
+    # -- packed monomials
 
-# ---------------------------------------------------------------------------
-# Monomial helpers
+    def unit(self, v: int) -> int:
+        """The packed monomial v**1."""
+        return (1 << self._shift[v]) + 1
 
+    def pack(self, mono: Monomial) -> int:
+        """Packed form of a tuple monomial."""
+        m = deg = 0
+        for v, e in mono:
+            if v not in self._shift:
+                raise ValueError(f"variable index {v} is not allocated")
+            if e < 0:
+                raise ValueError("monomial exponents must be nonnegative")
+            _field_guard(e, "monomial")
+            m += e << self._shift[v]
+            deg += e
+        _field_guard(deg, "monomial")
+        return m + deg
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    def exponents(self, m: int) -> list[tuple[int, int]]:
+        """(variable, exponent) pairs of a packed monomial, in allocation order."""
+        fields = array("H", m.to_bytes((m.bit_length() + 15) // 16 * 2, "little"))
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return [(v, e) for v, e in zip(self._slots, fields[1:]) if e]
 
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when b does not divide a."""
-    if not b:
-        return a
-    quota = dict(a)
-    for v, e in b:
-        have = quota.get(v, 0)
-        if have < e:
-            return None
-        if have == e:
-            del quota[v]
-        else:
-            quota[v] = have - e
-    return tuple(sorted(quota.items()))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    def unpack(self, m: int) -> Monomial:
+        """Tuple form of a packed monomial, sorted by variable index."""
+        return tuple(sorted(self.exponents(m)))
 
 
 def mono_key(m: Monomial) -> tuple:
     """Sort key: ascending order of keys == descending graded-lex order of monomials."""
-    return (-mono_degree(m), tuple((v, -e) for v, e in m))
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
 
 
 class MPoly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with rational coefficients."""
 
     __slots__ = ("reg", "terms")
 
-    def __init__(self, reg: VarRegistry, terms: dict[Monomial, Fraction]) -> None:
-        # terms is trusted to be canonical (no zero coefficients)
+    def __init__(self, reg: VarRegistry, terms: dict[int, Coeff]) -> None:
+        # terms is trusted to be canonical: packed monomials, no zero
+        # coefficients, int whenever integral
         self.reg = reg
         self.terms = terms
 
@@ -187,26 +234,31 @@ class MPoly:
 
     @classmethod
     def const(cls, reg: VarRegistry, c) -> "MPoly":
-        c = Fraction(c)
-        return cls(reg, {} if c == 0 else {(): c})
+        if type(c) is not int:
+            c = _norm(Fraction(c))
+        return cls(reg, {0: c} if c else {})
 
     @classmethod
     def var(cls, reg: VarRegistry, v: int) -> "MPoly":
         if v not in reg:
             raise ValueError(f"variable index {v} is not allocated")
-        return cls(reg, {((v, 1),): Fraction(1)})
+        return cls(reg, {reg.unit(v): 1})
 
     @classmethod
     def from_terms(cls, reg: VarRegistry, items: Iterable[tuple[Monomial, Fraction]]) -> "MPoly":
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[int, Coeff] = {}
         for m, c in items:
-            c = Fraction(c)
-            acc = terms.get(m, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
-        return cls(reg, terms)
+            key = reg.pack(m)
+            terms[key] = terms.get(key, 0) + Fraction(c)
+        return cls.from_packed(reg, terms)
+
+    @classmethod
+    def from_packed(cls, reg: VarRegistry, terms: dict[int, Coeff]) -> "MPoly":
+        """Polynomial from packed terms that may hold zero or integral Fraction
+        coefficients."""
+        return cls(
+            reg, {m: c if type(c) is int else _norm(c) for m, c in terms.items() if c}
+        )
 
     # -- predicates and views
 
@@ -214,37 +266,47 @@ class MPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): Fraction(1)}
+        return self.terms == {0: 1}
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get(0, 0))
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(_MAX_EXP.__and__, self.terms), default=0)
 
     def variables(self) -> tuple[int, ...]:
-        seen: set[int] = set()
+        seen = 0
         for m in self.terms:
-            for v, _ in m:
-                seen.add(v)
-        return tuple(sorted(seen))
+            seen |= m
+        return tuple(sorted(v for v, _ in self.reg.exponents(seen)))
+
+    def _lead(self) -> int:
+        """Packed monomial of the graded-lex leading term (nonzero polynomial)."""
+        top = self.total_degree()
+        tied = [m for m in self.terms if m & _MAX_EXP == top]
+        if len(tied) == 1:
+            return tied[0]
+        unpack = self.reg.unpack
+        return min(tied, key=lambda m: mono_key(unpack(m)))
 
     def leading(self) -> tuple[Monomial, Fraction]:
         """Leading term in graded-lex order; requires a nonzero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=mono_key)
-        return m, self.terms[m]
+        m = self._lead()
+        return self.reg.unpack(m), Fraction(self.terms[m])
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=mono_key)]
+    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
+        """(tuple monomial, coefficient) pairs in descending graded-lex order."""
+        unpack = self.reg.unpack
+        out = [(unpack(m), c) for m, c in self.terms.items()]
+        out.sort(key=lambda t: mono_key(t[0]))
+        return out
 
     # -- arithmetic
 
@@ -269,12 +331,13 @@ class MPoly:
         if not other.terms:
             return self
         terms = dict(self.terms)
+        get = terms.get
         for m, c in other.terms.items():
-            acc = terms.get(m, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(m, None)
+            acc = get(m, 0) + c
+            if acc:
+                terms[m] = acc if type(acc) is int else _norm(acc)
             else:
-                terms[m] = acc
+                del terms[m]
         return MPoly(self.reg, terms)
 
     __radd__ = __add__
@@ -294,25 +357,33 @@ class MPoly:
             return NotImplemented
         return other + (-self)
 
+    def _times(self, other: "MPoly") -> "MPoly":
+        """Product of two nonzero polynomials whose degrees were checked."""
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            ((ma, ca),) = a.items()
+            return MPoly.from_packed(
+                self.reg, {ma + mb: ca * cb for mb, cb in b.items()}
+            )
+        terms: dict[int, Coeff] = {}
+        get = terms.get
+        items = b.items()
+        for ma, ca in a.items():
+            for mb, cb in items:
+                m = ma + mb
+                terms[m] = get(m, 0) + ca * cb
+        return MPoly.from_packed(self.reg, terms)
+
     def _mul_raw(self, other: "MPoly") -> "MPoly":
-        """Product without the degree guard (internal use: gcd, division)."""
+        """Product without the degree limit (internal use: gcd); a field
+        overflow still raises DegreeGuardError."""
         self._check(other)
         if not self.terms or not other.terms:
             return MPoly.zero(self.reg)
-        terms: dict[Monomial, Fraction] = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                m = mono_mul(ma, mb)
-                acc = terms.get(m, Fraction(0)) + ca * cb
-                if acc == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = acc
-        return MPoly(self.reg, terms)
+        _field_guard(self.total_degree() + other.total_degree(), "product")
+        return self._times(other)
 
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
@@ -320,12 +391,9 @@ class MPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return MPoly.zero(self.reg)
-        bound = self.total_degree() + other.total_degree()
-        if bound > _degree_limit:
-            raise DegreeGuardError(
-                f"product would reach total degree {bound} > limit {_degree_limit}"
-            )
-        return self._mul_raw(other)
+        self._check(other)
+        _limit_guard(self.total_degree() + other.total_degree(), "product")
+        return self._times(other)
 
     __rmul__ = __mul__
 
@@ -334,44 +402,47 @@ class MPoly:
             raise ValueError("MPoly powers take nonnegative integer exponents")
         if k == 0:
             return MPoly.const(self.reg, 1)
-        bound = self.total_degree() * k
-        if bound > _degree_limit:
-            raise DegreeGuardError(
-                f"power would reach total degree {bound} > limit {_degree_limit}"
-            )
-        result = MPoly.const(self.reg, 1)
+        _limit_guard(self.total_degree() * k, "power")
+        if not self.terms:
+            return self
+        result = None
         base = self
         e = k
         while e:
             if e & 1:
-                result = result._mul_raw(base)
+                result = base if result is None else result._times(base)
             e >>= 1
             if e:
-                base = base._mul_raw(base)
+                base = base._times(base)
         return result
 
     def scale(self, c) -> "MPoly":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _norm(Fraction(c))
         if c == 0:
             return MPoly.zero(self.reg)
-        return MPoly(self.reg, {m: co * c for m, co in self.terms.items()})
+        if c == 1:
+            return self
+        return MPoly.from_packed(self.reg, {m: co * c for m, co in self.terms.items()})
 
     # -- evaluation
 
     def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
         """Exact value at a point; the assignment must cover every variable."""
+        values = {}
         for v in self.variables():
             if v not in assignment:
                 raise MissingVariableError(
                     f"no value for variable {self.reg.name(v)!r}"
                 )
-        total = Fraction(0)
+            values[v] = _norm(Fraction(assignment[v]))
+        exponents = self.reg.exponents
+        total = 0
         for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                val *= Fraction(assignment[v]) ** e
-            total += val
-        return total
+            for v, e in exponents(m):
+                c *= values[v] ** e
+            total += c
+        return Fraction(total)
 
     # -- equality and display
 
@@ -418,24 +489,47 @@ def content_and_primitive(f: MPoly) -> tuple[Fraction, MPoly]:
     positive leading coefficient.  f = 0 returns (0, 0)."""
     if f.is_zero():
         return Fraction(0), f
-    num_gcd = 0
-    den_lcm = 1
-    for c in f.terms.values():
-        num_gcd = math.gcd(num_gcd, c.numerator)
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    c = Fraction(num_gcd, den_lcm)
-    _, lead = f.leading()
-    if lead < 0:
-        c = -c
-    return c, f.scale(1 / c)
+    num, den, p = _primitive(f)
+    return Fraction(num, den), p
 
 
 def primitive_part(f: MPoly) -> MPoly:
-    return content_and_primitive(f)[1]
+    return _primitive(f)[2] if f.terms else f
+
+
+def _primitive(f: MPoly) -> tuple[int, int, MPoly]:
+    """(num, den, p) with f = num/den * p and p as in content_and_primitive;
+    f is nonzero."""
+    coeffs = f.terms.values()
+    try:
+        num_gcd, den_lcm = math.gcd(*coeffs), 1
+    except TypeError:  # some coefficient is a Fraction
+        num_gcd = math.gcd(*(c.numerator for c in coeffs))
+        den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    if min(coeffs) < 0 and f.terms[f._lead()] < 0:
+        num_gcd = -num_gcd
+    if den_lcm == 1:
+        if num_gcd == 1:
+            return 1, 1, f
+        prim = {m: c // num_gcd for m, c in f.terms.items()}
+    else:
+        prim = {
+            m: c.numerator * (den_lcm // c.denominator) // num_gcd
+            for m, c in f.terms.items()
+        }
+    return num_gcd, den_lcm, MPoly(f.reg, prim)
 
 
 def div_exact(f: MPoly, d: MPoly) -> MPoly:
-    """Quotient f/d when the division is exact; raises ExactDivisionError otherwise."""
+    """Quotient f/d when the division is exact; raises ExactDivisionError otherwise.
+
+    Heap division in the packed order (Johnson; Monagan and Pearce): each
+    next term of f - q*d comes from merging the terms of f with the products
+    q_i*d_j in a heap, so the remainder is never rebuilt.  A quotient term
+    that cannot belong to an exact quotient (a monomial not divisible by the
+    leading one, a total degree above deg f - deg d, or a monomial below
+    trailing(f)/trailing(d)) stops the division, so no product exceeds deg f.
+    """
     if d.is_zero():
         raise DivisionByZeroError("division by the zero polynomial")
     if f.is_zero():
@@ -444,49 +538,63 @@ def div_exact(f: MPoly, d: MPoly) -> MPoly:
         raise ContextMismatchError("polynomials belong to different registries")
     if d.is_one():
         return f
-    lm, lc = d.leading()
-    q: dict[Monomial, Fraction] = {}
-    r = f
-    while not r.is_zero():
-        rm, rc = r.leading()
-        m = mono_div(rm, lm)
-        if m is None:
+    guard = f.reg._guard
+    q_deg = f.total_degree() - d.total_degree()
+    q_low = min(f.terms) - min(d.terms)
+    if q_deg < 0 or q_low & guard or (max(f.terms) - max(d.terms)) & guard:
+        raise ExactDivisionError("division is not exact")
+    ds = sorted(d.terms.items(), reverse=True)
+    fs = sorted(f.terms.items(), reverse=True)
+    lm, lc = ds[0]
+    rest = ds[1:]
+    heap: list[tuple[int, int, int]] = []  # (-monomial of q_i*rest_j, i, j)
+    q_monos: list[int] = []
+    q_coeffs: list[Coeff] = []
+    k = 0
+    while k < len(fs) or heap:
+        if heap and (k == len(fs) or -heap[0][0] >= fs[k][0]):
+            m = -heap[0][0]
+        else:
+            m = fs[k][0]
+        c = 0
+        if k < len(fs) and fs[k][0] == m:
+            c = fs[k][1]
+            k += 1
+        while heap and heap[0][0] == -m:
+            _, i, j = heappop(heap)
+            c -= q_coeffs[i] * rest[j][1]
+            if j + 1 < len(rest):
+                heappush(heap, (-(q_monos[i] + rest[j + 1][0]), i, j + 1))
+        if not c:
+            continue
+        qm = m - lm
+        if qm & guard or qm < q_low or qm & _MAX_EXP > q_deg:
             raise ExactDivisionError("division is not exact")
-        c = rc / lc
-        q[m] = c
-        r = r - MPoly(f.reg, {m: c})._mul_raw(d)
-    return MPoly(f.reg, q)
+        q_monos.append(qm)
+        q_coeffs.append(_quo(c, lc))
+        if rest:
+            heappush(heap, (-(qm + rest[0][0]), len(q_monos) - 1, 0))
+    return MPoly(f.reg, dict(zip(q_monos, q_coeffs)))
 
 
 def _degree_in(f: MPoly, v: int) -> int:
-    deg = 0
-    for m in f.terms:
-        for w, e in m:
-            if w == v and e > deg:
-                deg = e
-    return deg
+    field = f.reg._shift[v].__rrshift__  # m -> m >> shift
+    return max(map(_MAX_EXP.__and__, map(field, f.terms)), default=0)
 
 
 def _coeff_in(f: MPoly, v: int, k: int) -> MPoly:
     """Coefficient of v**k in f, as a polynomial in the remaining variables."""
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in f.terms.items():
-        e = 0
-        rest = []
-        for w, ew in m:
-            if w == v:
-                e = ew
-            else:
-                rest.append((w, ew))
-        if e == k:
-            terms[tuple(rest)] = c
-    return MPoly(f.reg, terms)
+    shift = f.reg._shift[v]
+    strip = (k << shift) + k
+    return MPoly(
+        f.reg,
+        {m - strip: c for m, c in f.terms.items() if (m >> shift) & _MAX_EXP == k},
+    )
 
 
 def _var_power(reg: VarRegistry, v: int, k: int) -> MPoly:
-    if k == 0:
-        return MPoly.const(reg, 1)
-    return MPoly(reg, {((v, k),): Fraction(1)})
+    _field_guard(k, "power")
+    return MPoly(reg, {(k << reg._shift[v]) + k: 1})
 
 
 def _pow_raw(f: MPoly, k: int) -> MPoly:
@@ -529,20 +637,34 @@ def _content_pp_in(f: MPoly, v: int) -> tuple[MPoly, MPoly]:
     return cont, div_exact(f, cont)
 
 
-def _monomial_content(f: MPoly) -> Monomial:
-    """Largest monomial dividing every term of f (f nonzero)."""
+def _coeffs_over(f: MPoly, keep: Iterable[int]) -> list[MPoly]:
+    """Coefficients of f viewed as a polynomial in the variables outside
+    keep; each is a polynomial in the variables of keep."""
+    shifts = [f.reg._shift[v] for v in keep]
+    groups: dict[int, dict[int, Coeff]] = {}
+    for m, c in f.terms.items():
+        kept = 0
+        for s in shifts:
+            e = (m >> s) & _MAX_EXP
+            kept += (e << s) + e
+        groups.setdefault(m - kept, {})[kept] = c
+    return [MPoly(f.reg, t) for t in groups.values()]
+
+
+def _mono_min(reg: VarRegistry, monos: Collection[int]) -> int:
+    """Largest packed monomial dividing every one of monos (at least one)."""
+    if 0 in monos:
+        return 0
     common: dict[int, int] | None = None
-    for m in f.terms:
+    for m in monos:
+        exps = dict(reg.exponents(m))
         if common is None:
-            common = dict(m)
+            common = exps
         else:
-            exps = dict(m)
-            common = {
-                v: min(e, exps[v]) for v, e in common.items() if v in exps
-            }
+            common = {v: min(e, exps[v]) for v, e in common.items() if v in exps}
         if not common:
-            return ()
-    return tuple(sorted(common.items()))
+            return 0
+    return reg.pack(tuple(common.items()))
 
 
 def _divides(d: MPoly, f: MPoly) -> bool:
@@ -601,19 +723,33 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return MPoly.const(a.reg, 1)
     # split off the common monomial factor; the remaining parts have no
     # variable dividing every term, so gcd factors through
-    mono = mono_gcd_pair(_monomial_content(pa), _monomial_content(pb))
-    pa = div_exact(pa, MPoly(a.reg, {_monomial_content(pa): Fraction(1)}))
-    pb = div_exact(pb, MPoly(a.reg, {_monomial_content(pb): Fraction(1)}))
+    reg = a.reg
+    ma = _mono_min(reg, pa.terms)
+    mb = _mono_min(reg, pb.terms)
+    mono = _mono_min(reg, (ma, mb))
+    pa = MPoly(reg, {m - ma: c for m, c in pa.terms.items()})
+    pb = MPoly(reg, {m - mb: c for m, c in pb.terms.items()})
     if pa.is_constant() or pb.is_constant():
-        core = MPoly.const(a.reg, 1)
+        core = MPoly.const(reg, 1)
     elif _divides(pb, pa):
         core = pb
     elif _divides(pa, pb):
         core = pa
     else:
-        shared = set(pa.variables()) & set(pb.variables())
+        va, vb = set(pa.variables()), set(pb.variables())
+        shared = va & vb
         if not shared:
-            core = MPoly.const(a.reg, 1)
+            core = MPoly.const(reg, 1)
+        elif va != vb:
+            # a common factor lives in the shared variables, so it divides
+            # every coefficient of pa and pb over their other variables
+            parts = _coeffs_over(pa, shared) + _coeffs_over(pb, shared)
+            parts.sort(key=lambda p: len(p.terms))
+            core = MPoly.zero(reg)
+            for p in parts:
+                core = mpoly_gcd(core, p)
+                if core.is_one():
+                    break
         else:
             v = min(shared)
             ca, fa = _content_pp_in(pa, v)
@@ -621,17 +757,8 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
             cg = mpoly_gcd(ca, cb)
             core = cg._mul_raw(_gcd_in_var(fa, fb, v))
     if mono:
-        core = core._mul_raw(MPoly(a.reg, {mono: Fraction(1)}))
+        core = MPoly(reg, {m + mono: c for m, c in core.terms.items()})
     return primitive_part(core)
-
-
-def mono_gcd_pair(a: Monomial, b: Monomial) -> Monomial:
-    if not a or not b:
-        return ()
-    eb = dict(b)
-    return tuple(
-        sorted((v, min(e, eb[v])) for v, e in a if v in eb)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -845,23 +972,23 @@ class RatFunc:
 # Parity extraction
 
 
-def graded_degree(m: Monomial, reg: VarRegistry, v: int) -> int:
-    """Degree of a monomial in generator v, counting a jet symbol of v as degree 1
-    per exponent unit (the Leibniz action preserves this grading)."""
-    deg = 0
-    for w, e in m:
-        if w == v or reg.base_of(w) == v:
-            deg += e
-    return deg
-
-
 def odd_component(f: MPoly, vars: Iterable[int]) -> MPoly:
-    """Sum of the terms of f whose graded degree is odd in every listed generator."""
-    vs = tuple(vars)
+    """Sum of the terms of f whose graded degree is odd in every listed generator.
+
+    The graded degree of a monomial in generator v counts v and every jet
+    symbol of v once per exponent unit (the Leibniz action preserves this
+    grading).  Its parity is the parity of the number of odd exponents among
+    those symbols, so one mask of their fields' lowest bits per generator
+    decides it.
+    """
     reg = f.reg
+    masks = [
+        sum(1 << reg._shift[w] for w in reg.symbols() if v in (w, reg.base_of(w)))
+        for v in vars
+    ]
     terms = {
         m: c
         for m, c in f.terms.items()
-        if all(graded_degree(m, reg, v) % 2 == 1 for v in vs)
+        if all((m & mask).bit_count() & 1 for mask in masks)
     }
     return MPoly(reg, terms)

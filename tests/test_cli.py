@@ -42,6 +42,40 @@ def test_bad_degree_budget_is_an_error():
     assert report.exit_code == 2
 
 
+def test_error_report_keeps_its_params():
+    report = run(["dn", "check", "--n", "1", "--op", "D1", "--max-degree", "0"])
+    assert report.verdict == "error"
+    assert report.params == {
+        "n": "1",
+        "op": "D1",
+        "seed": "0",
+        "max_degree": "0",
+        "max_n": "6",
+    }
+    assert "params: n=1 op=D1 seed=0 max_degree=0 max_n=6" in report.to_text()
+
+
+def test_unexpected_failure_is_an_error_report(monkeypatch):
+    from derivcover import cover
+
+    def fail():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cover, "psi_defines_otimes", fail)
+    report = run(["cover", "psi-check"])
+    assert report.verdict == "error"
+    assert report.exit_code == 2
+    assert report.defect == "RuntimeError: boom"
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    # an interrupt is not a failure of the check: it passes through
+    monkeypatch.setattr(cover, "psi_defines_otimes", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(["cover", "psi-check"])
+
+
 def test_deeply_nested_function_is_an_error():
     funcs = "(" * 5000 + "t" + ")" * 5000
     report = run(["coset", "check", "--funcs", funcs])

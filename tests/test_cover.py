@@ -225,8 +225,8 @@ def test_ring_defect_matches_multilinear_defect():
     assert defect.base.is_zero()
     # fiber defect is 2 D(alpha) D(beta); the multilinear level-1 defect of
     # D.D is 2 D(x1) D(x2): same term structure
-    fiber_terms = list(defect.fiber.num.terms.items())
-    polar_terms = list(polarization_defect(DD, 1).num.terms.items())
+    fiber_terms = defect.fiber.num.sorted_terms()
+    polar_terms = polarization_defect(DD, 1).num.sorted_terms()
     assert len(fiber_terms) == len(polar_terms) == 1
     assert fiber_terms[0][1] == polar_terms[0][1] == 2
     (mono_f, _), (mono_p, _) = fiber_terms[0], polar_terms[0]

@@ -13,15 +13,17 @@ from derivcover.errors import (
     DegreeGuardError,
     DenominatorVanishesError,
     DivisionByZeroError,
+    ExactDivisionError,
     MissingVariableError,
 )
-from derivcover.jets import JetContext
+from derivcover.jets import JetContext, Operator, apply_operator
 from derivcover.poly import (
     MPoly,
     RatFunc,
     VarRegistry,
     content_and_primitive,
     div_exact,
+    mono_key,
     mpoly_gcd,
     odd_component,
 )
@@ -253,3 +255,76 @@ def test_render_zero_and_signs():
     assert MPoly.zero(reg).render() == "0"
     assert (t.scale(-1) + 1).render() == "-t + 1"
     assert (t.scale(Fraction(3, 2))).render() == "3/2*t"
+
+
+def test_tuple_monomials_round_trip_on_jets_allocated_out_of_order():
+    ctx = JetContext(1, 3, 2)
+    x = ctx.gen(0)
+    op = Operator.from_terms([((2,), 1), ((1, 2), 1), ((2, 0), 1)])
+    # D3 + D2.D3 + D3.D1 on x1^2 allocates indices 0, 3, 2, 9, 1, 10 in turn
+    apply_operator(ctx, op, x * x)
+    assert ctx.symbols() == [0, 1, 2, 3, 9, 10]
+    items = [
+        (((3, 2), (10, 1)), Fraction(1, 2)),
+        (((1, 1),), Fraction(-3)),
+        (((0, 1), (2, 1), (9, 1)), Fraction(5)),
+        (((2, 1), (3, 2)), Fraction(-7, 4)),
+        ((), Fraction(2)),
+        (((1, 3),), Fraction(1)),
+    ]
+    p = MPoly.from_terms(ctx, reversed(items))
+    assert p.sorted_terms() == sorted(items, key=lambda t: mono_key(t[0]))
+    assert MPoly.from_terms(ctx, p.sorted_terms()) == p
+    assert p.leading() == (((0, 1), (2, 1), (9, 1)), Fraction(5))
+    assert p.variables() == (0, 1, 2, 3, 9, 10)
+
+
+def test_leading_term_is_graded_lex_by_index_not_by_allocation():
+    # D1(x1) is allocated after the higher-index D3(x1), D2(x1) after both
+    ctx = JetContext(1, 3, 1)
+    d3, d1, d2 = (ctx.jet(0, (letter,)) for letter in (2, 0, 1))
+    D3, D1, D2 = (MPoly.var(ctx, v) for v in (d3, d1, d2))
+    one = MPoly.const(ctx, 1)
+    tie = D2 - D1  # equal degrees: the lower index, D1(x1), leads
+    assert tie.leading() == (((d1, 1),), Fraction(-1))
+    assert RatFunc.make(one, tie).render() == "(-1)/(D1(x1) - D2(x1))"
+    graded = D1 - D3 * D3  # the higher degree leads
+    assert graded.leading() == (((d3, 2),), Fraction(-1))
+    assert RatFunc.make(one, graded).render() == "(-1)/(D3(x1)^2 - D1(x1))"
+
+
+def test_exponent_field_overflow_raises_on_every_path():
+    reg = VarRegistry()
+    x = reg.add_generator("x")
+    y = reg.add_generator("y")
+    old = poly.set_degree_limit(10**6)  # only the exponent fields bound degrees
+    try:
+        with pytest.raises(DegreeGuardError):
+            MPoly.from_terms(reg, [(((x, 40000),), 1)])
+        big = MPoly.from_terms(reg, [(((x, 20000),), 1)])
+        with pytest.raises(DegreeGuardError):
+            big * big
+        with pytest.raises(DegreeGuardError):
+            big**2
+        with pytest.raises(DegreeGuardError):
+            big._mul_raw(big)
+        # the pseudo-remainder sequence in x multiplies by lc_x(b) = y^20000
+        a = MPoly.from_terms(reg, [(((x, 2), (y, 20000)), 1), ((), 1)])
+        b = MPoly.from_terms(reg, [(((x, 1), (y, 20000)), 1), ((), 2)])
+        with pytest.raises(DegreeGuardError):
+            mpoly_gcd(a, b)
+    finally:
+        poly.set_degree_limit(old)
+
+
+def test_inexact_division_stops_before_outgrowing_the_dividend():
+    # dividing x^200 + y^200 by x - y^200 in an order where x leads would
+    # run through quotient terms x^(199-i) y^(200 i) of degree up to ~40,000
+    reg = VarRegistry()
+    y = reg.add_generator("y")
+    x = reg.add_generator("x")
+    f = MPoly.from_terms(reg, [(((x, 200),), 1), (((y, 200),), 1)])
+    d = MPoly.from_terms(reg, [(((x, 1),), 1), (((y, 200),), -1)])
+    with pytest.raises(ExactDivisionError):
+        div_exact(f, d)
+    assert div_exact(f._mul_raw(d), d) == f
