@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dclass import MembershipVerdict, find_witness, level_coefficient
+from .dclass import MembershipVerdict, level_combination
 from .errors import ArityError, ContextMismatchError
 from .jets import JetContext, Operator, apply_operator
 from .poly import RatFunc
@@ -102,15 +102,6 @@ class CoverModel:
             raise ValueError("cover level must be >= 1")
 
 
-def _fiber_combination(alpha: RatFunc, fibers: list[RatFunc], n: int) -> RatFunc:
-    """sum_{i=1..n} binom(n+1, i) (-1)^(n-i) alpha^(n+1-i) fibers[i-1]."""
-    total = RatFunc.zero(alpha.reg)
-    for i in range(1, n + 1):
-        c = level_coefficient(n, i)
-        total = total + (alpha ** (n + 1 - i) * fibers[i - 1]).scale(c)
-    return total
-
-
 def rn_holds(model: CoverModel, points: list[CoverPoint]) -> bool:
     """Exact check of the level-n relation on a tuple of n+1 points."""
     n = model.n
@@ -123,7 +114,7 @@ def rn_holds(model: CoverModel, points: list[CoverPoint]) -> bool:
     for i, p in enumerate(points, start=1):
         if p.base != alpha**i:
             return False
-    expected = _fiber_combination(alpha, [p.fiber for p in points[:n]], n)
+    expected = level_combination(n, alpha, [p.fiber for p in points[:n]])
     return points[n].fiber == expected
 
 
@@ -143,7 +134,7 @@ def generic_rn_point(op: Operator, n: int) -> tuple[CoverModel, list[CoverPoint]
     alpha = ctx.gen(0)
     fibers = [ctx.gen(i) for i in range(1, n + 1)]
     points = [CoverPoint(alpha ** (i + 1), fibers[i]) for i in range(n)]
-    last = CoverPoint(alpha ** (n + 1), _fiber_combination(alpha, fibers, n))
+    last = CoverPoint(alpha ** (n + 1), level_combination(n, alpha, fibers))
     points.append(last)
     return CoverModel(n, ctx), points
 
@@ -157,11 +148,8 @@ def rn_preservation(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict
     model, points = generic_rn_point(op, n)
     moved = [sigma(op, p) for p in points]
     alpha = moved[0].base
-    expected = _fiber_combination(alpha, [p.fiber for p in moved[:n]], n)
-    defect = moved[n].fiber - expected
-    if defect.is_zero():
-        return MembershipVerdict(True, defect)
-    return MembershipVerdict(False, defect, find_witness(defect, seed=seed))
+    expected = level_combination(n, alpha, [p.fiber for p in moved[:n]])
+    return MembershipVerdict.of(moved[n].fiber - expected, seed)
 
 
 def psi_defines_otimes() -> bool:
@@ -190,11 +178,9 @@ def rn_reduct_check(n: int) -> bool:
         raise ValueError("level must be >= 1")
 
     def shift_constraint(alpha: RatFunc, eps: dict[int, RatFunc]) -> RatFunc:
-        total = RatFunc.zero(alpha.reg)
-        for i in range(2, n + 1):
-            c = level_coefficient(n, i)
-            total = total + (alpha ** (n + 1 - i) * eps[i]).scale(c)
-        return total
+        # the first point is unshifted: its term of the combination is zero
+        shifts = [RatFunc.zero(alpha.reg)] + [eps[i] for i in range(2, n + 1)]
+        return level_combination(n, alpha, shifts)
 
     # forward: a generic relation tuple determines unique shifts satisfying
     # the constraint

@@ -28,6 +28,11 @@ from .jets import JetContext, Operator, apply_operator
 from .poly import RatFunc, odd_component
 
 DEFAULT_LEVEL_CAP = 6
+# find_witness: random draws per range, and how often the range doubles
+WITNESS_ATTEMPTS = 1000
+WITNESS_WIDENINGS = 8
+PROBE_POINTS = 5  # probe_zero: seeded points per identity test
+TEST_SET_LETTERS = 3  # default_test_set: letters of the word alphabet
 
 Assignment = dict[int, Fraction]
 
@@ -44,6 +49,13 @@ class MembershipVerdict:
     defect: RatFunc
     witness: tuple[Assignment, Fraction] | None = None
 
+    @classmethod
+    def of(cls, defect: RatFunc, seed: int) -> MembershipVerdict:
+        """The verdict a defect gives, with a witness when it is nonzero."""
+        if defect.is_zero():
+            return cls(True, defect)
+        return cls(False, defect, find_witness(defect, seed=seed))
+
 
 def _check_level(n: int) -> None:
     if n < 1:
@@ -56,6 +68,17 @@ def level_coefficient(n: int, i: int) -> int:
     return -math.comb(n + 1, i) if (n - i) % 2 else math.comb(n + 1, i)
 
 
+def level_combination(n: int, a: RatFunc, values: Iterable[RatFunc]) -> RatFunc:
+    """sum_{i=1..n} binom(n+1, i) (-1)^(n-i) a^(n+1-i) v_i: the right side of
+    the order-n identity, with v_i in the place of F(a^i).  Takes the n values
+    one at a time, so a generator of them keeps only one alive."""
+    total = RatFunc.zero(a.reg)
+    for i, value in zip(range(1, n + 1), values, strict=True):
+        c = level_coefficient(n, i)
+        total = total + (a ** (n + 1 - i) * value).scale(c)
+    return total
+
+
 def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     """Defect of the order-n identity for op at the element f.
 
@@ -64,11 +87,8 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     """
     _check_level(n)
     lhs = apply_operator(ctx, op, f ** (n + 1))
-    rhs = RatFunc.zero(ctx)
-    for i in range(1, n + 1):
-        c = level_coefficient(n, i)
-        rhs = rhs + (f ** (n + 1 - i) * apply_operator(ctx, op, f**i)).scale(c)
-    return lhs - rhs
+    images = (apply_operator(ctx, op, f**i) for i in range(1, n + 1))
+    return lhs - level_combination(n, f, images)
 
 
 def is_in_dn(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict:
@@ -80,11 +100,7 @@ def is_in_dn(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict:
     """
     _check_level(n)
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
-    defect = dn_defect(ctx, op, n, ctx.gen(0))
-    if defect.is_zero():
-        return MembershipVerdict(True, defect)
-    witness = find_witness(defect, seed=seed)
-    return MembershipVerdict(False, defect, witness)
+    return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)), seed)
 
 
 def _products_without(xs: Sequence[RatFunc], skip: frozenset[int]) -> RatFunc:
@@ -132,32 +148,23 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     right side of the order-n identity must give (n+1)! times the multilinear
     combination.  Requires op to satisfy the order-n identity.
     """
-    _check_level(n)
-    probe_ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
-    if not dn_defect(probe_ctx, op, n, probe_ctx.gen(0)).is_zero():
+    if not is_in_dn(op, n).in_dn:
         raise PreconditionError(
             "parity extraction is only asserted for members of the class"
         )
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     xs = [ctx.gen(i) for i in range(n + 1)]
-    s = RatFunc.zero(ctx)
-    for x in xs:
-        s = s + x
+    s = sum(xs, RatFunc.zero(ctx))
     gens = ctx.gens
-    factorial = Fraction(1)
-    for i in range(2, n + 2):
-        factorial *= i
+    factorial = math.factorial(n + 1)
     left = odd_component(apply_operator(ctx, op, s ** (n + 1)).as_poly(), gens)
     left_target = apply_operator(ctx, op, _products_without(xs, frozenset())).scale(
         factorial
     )
     if left != left_target.as_poly():
         return False
-    rhs = RatFunc.zero(ctx)
-    for i in range(1, n + 1):
-        c = level_coefficient(n, i)
-        rhs = rhs + (s ** (n + 1 - i) * apply_operator(ctx, op, s**i)).scale(c)
-    right = odd_component(rhs.as_poly(), gens)
+    images = (apply_operator(ctx, op, s**i) for i in range(1, n + 1))
+    right = odd_component(level_combination(n, s, images).as_poly(), gens)
     right_target = multilinear_rhs(ctx, op, xs).scale(factorial)
     return right == right_target.as_poly()
 
@@ -198,20 +205,14 @@ def separation_witness(n: int, *, seed: int = 0) -> tuple[Assignment, Fraction]:
     return find_witness(defect, seed=seed)
 
 
-def find_witness(
-    defect: RatFunc,
-    *,
-    seed: int = 0,
-    attempts: int = 1000,
-    widenings: int = 8,
-) -> tuple[Assignment, Fraction]:
+def find_witness(defect: RatFunc, *, seed: int = 0) -> tuple[Assignment, Fraction]:
     """Find an assignment where the defect is nonzero.
 
     The assignment covers every symbol allocated in the defect's registry:
     its generators and the jets reached so far.  Tries the distinguished
     point (the first allocated length-1 jet = 1, all else 0) first, then
     seeded uniform draws from {-3..3}, doubling the range after every
-    `attempts` failures.  Deterministic given the seed.
+    WITNESS_ATTEMPTS failures.  Deterministic given the seed.
     """
     reg = defect.reg
     all_vars = reg.symbols()
@@ -226,8 +227,8 @@ def find_witness(
             return assignment, value
     rng = random.Random(seed)
     span = 3
-    for round_ in range(widenings):
-        for _ in range(attempts):
+    for _ in range(WITNESS_WIDENINGS):
+        for _ in range(WITNESS_ATTEMPTS):
             assignment = {v: Fraction(rng.randint(-span, span)) for v in all_vars}
             value = defect.evaluate(assignment)
             if value != 0:
@@ -238,7 +239,7 @@ def find_witness(
     )
 
 
-def probe_zero(f: RatFunc, *, points: int = 5, seed: int = 0) -> bool:
+def probe_zero(f: RatFunc, *, seed: int = 0) -> bool:
     """Randomized identity test: evaluate at seeded rational points.
 
     Returns True when f vanished at every probe point.  Independent of the
@@ -246,7 +247,7 @@ def probe_zero(f: RatFunc, *, points: int = 5, seed: int = 0) -> bool:
     """
     rng = random.Random(seed)
     occurring = sorted(set(f.num.variables()) | set(f.den.variables()))
-    for _ in range(points):
+    for _ in range(PROBE_POINTS):
         assignment = {
             v: Fraction(rng.randint(-99, 99), rng.randint(1, 7)) for v in occurring
         }
@@ -255,13 +256,13 @@ def probe_zero(f: RatFunc, *, points: int = 5, seed: int = 0) -> bool:
     return True
 
 
-def default_test_set(*, seed: int = 0, letters: int = 3) -> list[Operator]:
-    """Fixed operator battery: all words of length <= 3 over the given letters,
+def default_test_set(*, seed: int = 0) -> list[Operator]:
+    """Fixed operator battery: all words of length <= 3 over TEST_SET_LETTERS letters,
     plus five seeded two-term rational combinations of short words."""
     ops: list[Operator] = []
     words: list[tuple[int, ...]] = []
     for length in (1, 2, 3):
-        for w in _all_words(letters, length):
+        for w in _all_words(TEST_SET_LETTERS, length):
             words.append(w)
             ops.append(Operator.word(w))
     rng = random.Random(seed)

@@ -22,6 +22,8 @@ e.g. `D2.D1(x3)`.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
+
 from .errors import UnknownLetterError, WordLengthError
 from .poly import MPoly, RatFunc, VarRegistry
 

@@ -1,0 +1,194 @@
+"""The certification battery behind `derivcover suite`, and the brute-force
+coset oracle it checks the affine-relation solver against.
+
+Each check collects a description of every failure it sees; it passes when
+it collected none, and otherwise reports the last.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import permutations
+from itertools import product as iproduct
+from typing import Sequence
+
+from . import cosets, cover, dclass, poly
+from .dclass import (
+    default_test_set,
+    inductive_subsum,
+    is_in_dn,
+    polarization_defect,
+    probe_zero,
+)
+from .jets import Operator
+from .poly import MPoly, RatFunc, VarRegistry
+
+ORACLE_SAMPLES = 200  # random polynomial tuples the coset oracle compares
+ORACLE_SPAN = 5  # brute-force relations have integer entries in [-span, span]
+
+
+def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
+    """Run every certification up to the requested level; returns
+    (name, passed, detail) triples.  Deterministic for a fixed seed."""
+    results: list[tuple[str, bool, str]] = []
+    collected: list[tuple[RatFunc, bool]] = []
+
+    def note(defect: RatFunc) -> None:
+        collected.append((defect, defect.is_zero()))
+
+    def record(name: str, failures: list[str]) -> None:
+        results.append((name, not failures, failures[-1] if failures else ""))
+
+    delta = Operator.letter(0)
+
+    # 1: level-1 membership is the Leibniz rule
+    d1 = is_in_dn(delta, 1, seed=seed)
+    p1 = polarization_defect(delta, 1)
+    note(d1.defect)
+    note(p1)
+    record("derivation-characterization", [] if d1.in_dn and p1.is_zero() else [""])
+
+    # 2: words over distinct letters stay in every class from their length up
+    failures = []
+    for length in range(1, min(4, max_n) + 1):
+        for word in permutations(range(4), length):
+            op = Operator.word(word)
+            for n in range(length, min(4, max_n) + 1):
+                for level in (n, n + 1):
+                    verdict = is_in_dn(op, level, seed=seed)
+                    note(verdict.defect)
+                    if not verdict.in_dn:
+                        failures.append(f"{op.render()} escaped level {level}")
+    record("word-inclusion", failures)
+
+    # 3: the (n+1)-fold iterate separates consecutive classes
+    failures = []
+    for n in range(1, min(5, max_n) + 1):
+        op = Operator.word((0,) * (n + 1))
+        low = is_in_dn(op, n, seed=seed)
+        high = is_in_dn(op, n + 1, seed=seed)
+        note(low.defect)
+        note(high.defect)
+        witness_ok = (
+            low.witness is not None
+            and low.defect.evaluate(low.witness[0]) == low.witness[1] != 0
+        )
+        if low.in_dn or not high.in_dn or not witness_ok:
+            failures.append(f"separation failed at level {n}")
+    record("strict-separation", failures)
+
+    # 4: one-variable identity holds iff the multilinear identity holds
+    failures = []
+    ops = default_test_set(seed=seed)
+    for op in ops:
+        for n in range(1, min(3, max_n) + 1):
+            member = is_in_dn(op, n, seed=seed)
+            pdef = polarization_defect(op, n)
+            note(member.defect)
+            note(pdef)
+            if member.in_dn != pdef.is_zero():
+                failures.append(f"equivalence failed for {op.render()} at level {n}")
+            elif member.in_dn and not dclass.odd_extraction_check(op, n):
+                failures.append(
+                    f"parity extraction failed for {op.render()} at level {n}"
+                )
+    record("polarization-equivalence", failures)
+
+    # 5: the cross-term subsum vanishes
+    failures = []
+    for n in range(1, min(4, max_n) + 1):
+        total = inductive_subsum(n)
+        note(total)
+        if not total.is_zero():
+            failures.append(f"subsum nonzero at level {n}")
+    record("inductive-subsum", failures)
+
+    # 6: relation preservation on the cover agrees with class membership
+    failures = []
+    for op in ops:
+        for n in range(1, min(4, max_n) + 1):
+            pres = cover.rn_preservation(op, n, seed=seed)
+            member = is_in_dn(op, n, seed=seed)
+            note(pres.defect)
+            if pres.in_dn != member.in_dn:
+                failures.append(f"cover disagreement for {op.render()} at level {n}")
+    record("cover-equivalence", failures)
+
+    # 7: definability of the product and of the level-n relation
+    ok = (
+        cover.psi_defines_otimes()
+        and all(cover.rn_reduct_check(n) for n in range(1, min(3, max_n) + 1))
+        and cover.sigma_ring_check(delta)
+        and not cover.sigma_ring_check(Operator.word((0, 0)))
+    )
+    record("definability", [] if ok else [""])
+
+    # 8: power tuples lie on no affine line over the constants
+    failures = [] if all(cosets.coset_free_powers(n) for n in range(1, 9)) else [""]
+    agree, detail = coset_oracle_agreement(seed=seed)
+    record("coset-freeness", failures if agree else failures + [detail])
+
+    # 9: every symbolic verdict above survives randomized evaluation
+    failures = []
+    for idx, (defect, symbolic_zero) in enumerate(collected):
+        if probe_zero(defect, seed=seed) != symbolic_zero:
+            failures.append(f"probe disagreed with symbolic verdict #{idx}")
+    record("cross-check-oracle", failures)
+
+    return results
+
+
+def coset_oracle_agreement(*, seed: int) -> tuple[bool, str]:
+    """Compare the exact solver against brute-force search over small integer
+    relations, on random small polynomial tuples."""
+    rng = random.Random(seed)
+    for case in range(ORACLE_SAMPLES):
+        reg = VarRegistry()
+        t = reg.add_generator("t")
+        size = rng.choice((1, 2, 2, 3))
+        funcs = []
+        for _ in range(size):
+            coeffs = [rng.randint(-2, 2) for _ in range(4)]
+            p = MPoly.from_terms(
+                reg,
+                [(((t, d),) if d else (), Fraction(c)) for d, c in enumerate(coeffs)],
+            )
+            funcs.append(RatFunc.from_poly(p))
+        solver = cosets.affine_relation(funcs) is not None
+        if solver != _brute_force_relation(funcs):
+            return False, f"solver/brute-force mismatch on case {case}"
+    return True, ""
+
+
+def _brute_force_relation(funcs: Sequence[RatFunc]) -> bool:
+    """Exhaustive search for integer relations with all entries in
+    [-ORACLE_SPAN, ORACLE_SPAN].
+
+    Only the leading coefficients are enumerated: the non-constant monomial
+    rows must cancel exactly, which then forces the constant.  Any hit is
+    re-verified with exact field arithmetic.  Expects polynomial inputs.
+    """
+    span = ORACLE_SPAN
+    n = len(funcs)
+    coeffs = [dict(f.as_poly().sorted_terms()) for f in funcs]
+    monomials = sorted({m for c in coeffs for m in c if m != ()}, key=poly.mono_key)
+    vectors = [tuple(c.get(m, 0) for m in monomials) for c in coeffs]
+    constants = [c.get((), 0) for c in coeffs]
+    rows = len(monomials)
+    for eps in iproduct(range(-span, span + 1), repeat=n):
+        if all(e == 0 for e in eps):
+            continue
+        if any(
+            sum(eps[j] * vectors[j][r] for j in range(n)) != 0 for r in range(rows)
+        ):
+            continue
+        forced = sum(e * c for e, c in zip(eps, constants))
+        if forced.denominator != 1 or abs(forced) > span:
+            continue
+        total = RatFunc.zero(funcs[0].reg)
+        for e, f in zip(eps, funcs):
+            total = total + f.scale(e)
+        if (total - forced).is_zero():
+            return True
+    return False

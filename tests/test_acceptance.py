@@ -132,12 +132,12 @@ def test_criterion_7_definability():
 
 
 def test_criterion_8_coset_freeness():
-    from derivcover.cli import _coset_oracle_agreement
+    from derivcover.suite import coset_oracle_agreement
 
     with criterion(8, "coset freeness", 30.0):
         for n in range(1, 9):
             assert coset_free_powers(n), n
-        agree, detail = _coset_oracle_agreement(samples=200, seed=0)
+        agree, detail = coset_oracle_agreement(seed=0)
         assert agree, detail
 
 

@@ -182,3 +182,84 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "verdict: holds" in proc.stdout
+
+
+
+PINNED_REPORTS = [
+    (
+        ["dn", "subsum", "--n", "2"],
+        "command: dn subsum\nparams: n=2\nverdict: holds\ndefect: 0\n"
+        "witness: -\ntiming_ms: 0",
+    ),
+    (
+        ["cover", "reduct", "--n", "2"],
+        "command: cover reduct\nparams: n=2\nverdict: holds\ndefect: -\n"
+        "witness: -\ntiming_ms: 0",
+    ),
+    (
+        ["cover", "psi-check"],
+        "command: cover psi-check\nparams: -\nverdict: holds\ndefect: -\n"
+        "witness: -\ntiming_ms: 0",
+    ),
+    (
+        ["coset", "check", "--funcs", "t,t^2,t^3"],
+        "command: coset check\nparams: funcs=t,t^2,t^3\nverdict: holds\n"
+        "defect: -\nwitness: -\ntiming_ms: 0",
+    ),
+    (
+        ["coset", "check", "--funcs", "t,2*t+3"],
+        "command: coset check\nparams: funcs=t,2*t+3\nverdict: refuted\n"
+        "defect: coefficients: (1, -1/2); constant: -3/2\nwitness: -\ntiming_ms: 0",
+    ),
+    (
+        ["suite", "--max-n", "2"],
+        "ok derivation-characterization\nok word-inclusion\nok strict-separation\n"
+        "ok polarization-equivalence\nok inductive-subsum\nok cover-equivalence\n"
+        "ok definability\nok coset-freeness\nok cross-check-oracle\n"
+        "command: suite\nparams: max_n=2 checks=9 failed=0\nverdict: holds\n"
+        "defect: -\nwitness: -\ntiming_ms: 0",
+    ),
+    (
+        # separation also certifies level n+1, so that is the level capped
+        ["dn", "separation", "--n", "9"],
+        "command: dn separation\nparams: n=9 seed=0 max_degree=64 max_n=6\n"
+        "verdict: error\n"
+        "defect: ValueError: level 10 exceeds the configured cap 6 (--max-n)\n"
+        "witness: -\ntiming_ms: 0",
+    ),
+    (
+        # the operator is parsed before its level is checked against the cap
+        ["dn", "check", "--n", "9", "--op", "D1 +"],
+        "command: dn check\nparams: n=9 op=D1 + seed=0 max_degree=64 max_n=6\n"
+        "verdict: error\n"
+        "defect: ParseError: expected 'letter', found 'end of input' (at position 4)\n"
+        "witness: -\ntiming_ms: 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", PINNED_REPORTS)
+def test_full_text_reports(argv, text):
+    assert run(argv).to_text() == text
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "dn check",
+        "dn separation",
+        "dn polarize",
+        "dn subsum",
+        "cover preserve",
+        "cover psi-check",
+        "cover reduct",
+        "cover ring-check",
+        "coset check",
+        "suite",
+    ],
+)
+def test_every_command_has_help(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(command.split() + ["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: derivcover {command} ")
