@@ -34,7 +34,6 @@ from .dclass import (
     odd_extraction_check,
     polarization_defect,
     probe_zero,
-    separation_witness,
 )
 from .jets import JetContext, Operator, apply_operator, derive
 from .parse import SourceExpr, parse_func_list, parse_operator, parse_ratfunc

@@ -119,8 +119,8 @@ def _membership(verdict: MembershipVerdict) -> Report:
 
 def _dn_separation(args) -> Report:
     op = Operator.word((0,) * (args.n + 1))
-    report = _membership(is_in_dn(op, args.n, seed=args.seed))
-    upper = is_in_dn(op, args.n + 1, seed=args.seed)
+    report = _membership(is_in_dn(op, args.n))
+    upper = is_in_dn(op, args.n + 1)
     report.params = {
         "op": op.render(),
         "in_next_level": "true" if upper.in_dn else "false",
@@ -139,7 +139,7 @@ def _dn_subsum(args) -> Report:
 
 def _cover_ring(args) -> Report:
     defect = cover.sigma_ring_defect(args.op)
-    fiber = MembershipVerdict.of(defect.fiber, args.seed)
+    fiber = MembershipVerdict.of(defect.fiber)
     return Report(
         _verdict(defect.base.is_zero() and fiber.in_dn),
         defect.render(),
@@ -189,7 +189,7 @@ COMMANDS = {
     "dn check": Command(
         "is --op in the order-n class? (zero defect of the defining identity)",
         ("n", "op"),
-        lambda args: _membership(is_in_dn(args.op, args.n, seed=args.seed)),
+        lambda args: _membership(is_in_dn(args.op, args.n)),
     ),
     "dn separation": Command(
         "certify that the (n+1)-fold iterate of one derivation escapes the "
@@ -203,7 +203,7 @@ COMMANDS = {
         "does --op satisfy the multilinear form of the order-n identity?",
         ("n", "op"),
         lambda args: _membership(
-            MembershipVerdict.of(polarization_defect(args.op, args.n), args.seed)
+            MembershipVerdict.of(polarization_defect(args.op, args.n))
         ),
     ),
     "dn subsum": Command(
@@ -215,7 +215,7 @@ COMMANDS = {
         "does the fiber move of --op preserve the level-n relation?",
         ("n", "op"),
         lambda args: _membership(
-            cover.rn_preservation(args.op, args.n, seed=args.seed)
+            cover.rn_preservation(args.op, args.n)
         ),
     ),
     "cover psi-check": Command(
@@ -268,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for witness search")
+    seed_help = "seed for the suite's test set and probe points"
+    common.add_argument("--seed", type=int, default=0, help=seed_help)
     common.add_argument(
         "--max-degree",
         type=int,

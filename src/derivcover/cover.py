@@ -139,7 +139,7 @@ def generic_rn_point(op: Operator, n: int) -> tuple[CoverModel, list[CoverPoint]
     return CoverModel(n, ctx), points
 
 
-def rn_preservation(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict:
+def rn_preservation(op: Operator, n: int) -> MembershipVerdict:
     """Does the move of op preserve the level-n relation at the generic point?
 
     Returns the defect of the relation's fiber equation after the move; zero
@@ -149,7 +149,7 @@ def rn_preservation(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict
     moved = [sigma(op, p) for p in points]
     alpha = moved[0].base
     expected = level_combination(n, alpha, [p.fiber for p in moved[:n]])
-    return MembershipVerdict.of(moved[n].fiber - expected, seed)
+    return MembershipVerdict.of(moved[n].fiber - expected)
 
 
 def psi_defines_otimes() -> bool:

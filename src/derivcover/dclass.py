@@ -6,7 +6,7 @@ Everything here reduces that quantified identity to a single polynomial
 computation at a generic point of a free jet context: the defect (left side
 minus right side) is the machine certificate.  Zero defect certifies the
 identity for every complex instantiation; a nonzero defect comes with a
-rational witness assignment found by seeded search.
+rational witness assignment, built by find_witness at small integers.
 
 Order matters for the class hierarchy: the classes grow with n, and the
 (n+1)-fold iterate of a single derivation letter separates level n+1 from
@@ -20,17 +20,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, SearchExhaustedError
+from .errors import PreconditionError
 from .jets import JetContext, Operator, apply_operator
-from .poly import RatFunc, odd_component
+from .poly import RatFunc, lowest_coefficient, odd_component, univariate_at
 
 DEFAULT_LEVEL_CAP = 6
-# find_witness: random draws per range, and how often the range doubles
-WITNESS_ATTEMPTS = 1000
-WITNESS_WIDENINGS = 8
 PROBE_POINTS = 5  # probe_zero: seeded points per identity test
 TEST_SET_LETTERS = 3  # default_test_set: letters of the word alphabet
 
@@ -50,11 +47,11 @@ class MembershipVerdict:
     witness: tuple[Assignment, Fraction] | None = None
 
     @classmethod
-    def of(cls, defect: RatFunc, seed: int) -> MembershipVerdict:
+    def of(cls, defect: RatFunc) -> MembershipVerdict:
         """The verdict a defect gives, with a witness when it is nonzero."""
         if defect.is_zero():
             return cls(True, defect)
-        return cls(False, defect, find_witness(defect, seed=seed))
+        return cls(False, defect, find_witness(defect))
 
 
 def _check_level(n: int) -> None:
@@ -91,7 +88,7 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     return lhs - level_combination(n, f, images)
 
 
-def is_in_dn(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict:
+def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
     """Decide membership at a generic point (one fresh generator).
 
     The generic point is universal for word-algebra operators: the defect is
@@ -100,7 +97,7 @@ def is_in_dn(op: Operator, n: int, *, seed: int = 0) -> MembershipVerdict:
     """
     _check_level(n)
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
-    return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)), seed)
+    return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)))
 
 
 def _products_without(xs: Sequence[RatFunc], skip: frozenset[int]) -> RatFunc:
@@ -191,59 +188,41 @@ def inductive_subsum(n: int) -> RatFunc:
     return total
 
 
-def separation_witness(n: int, *, seed: int = 0) -> tuple[Assignment, Fraction]:
-    """Rational jet values making the level-n defect of the (n+1)-fold iterate
-    of one derivation letter evaluate to something nonzero.
+def find_witness(defect: RatFunc) -> tuple[Assignment, Fraction]:
+    """A point of every allocated symbol where a nonzero defect is defined
+    and nonzero, with the defect's value there.
 
-    Deterministic for a fixed seed; raises SearchExhaustedError only on a bug,
-    since the defect polynomial is nonzero.
+    Built for P = num * den, without forming the product: take the symbol
+    v of highest index in P, write P = sum_k c_k v^k, build a point for the
+    lowest nonzero c_k with every other symbol at 0, and give v the first of
+    0, 1, ..., deg_v P where P is nonzero.  There P is a nonzero polynomial
+    in v of degree at most deg_v P, so one of those values is not a root
+    (the grid argument behind the Combinatorial Nullstellensatz).
     """
-    _check_level(n)
-    ctx = JetContext(1, 1, n + 1)
-    op = Operator.word((0,) * (n + 1))
-    defect = dn_defect(ctx, op, n, ctx.gen(0))
-    return find_witness(defect, seed=seed)
-
-
-def find_witness(defect: RatFunc, *, seed: int = 0) -> tuple[Assignment, Fraction]:
-    """Find an assignment where the defect is nonzero.
-
-    The assignment covers every symbol allocated in the defect's registry:
-    its generators and the jets reached so far.  Tries the distinguished
-    point (the first allocated length-1 jet = 1, all else 0) first, then
-    seeded uniform draws from {-3..3}, doubling the range after every
-    WITNESS_ATTEMPTS failures.  Deterministic given the seed.
-    """
-    reg = defect.reg
-    all_vars = reg.symbols()
-    first_jet = next(
-        (v for v in all_vars if len(reg.word_of(v) or ()) == 1),
-        None,
-    )
-    if first_jet is not None:
-        assignment = {v: Fraction(1 if v == first_jet else 0) for v in all_vars}
-        value = defect.evaluate(assignment)
-        if value != 0:
-            return assignment, value
-    rng = random.Random(seed)
-    span = 3
-    for _ in range(WITNESS_WIDENINGS):
-        for _ in range(WITNESS_ATTEMPTS):
-            assignment = {v: Fraction(rng.randint(-span, span)) for v in all_vars}
-            value = defect.evaluate(assignment)
-            if value != 0:
-                return assignment, value
-        span *= 2
-    raise SearchExhaustedError(
-        "no nonzero point found; the defect polynomial should be nonzero"
-    )
+    if defect.is_zero():
+        raise PreconditionError("a zero defect has no witness")
+    chain = []  # (v, the factors v was taken from), outermost first
+    factors = [defect.num] if defect.den.is_one() else [defect.num, defect.den]
+    while variables := set().union(*(f.variables() for f in factors)):
+        v = max(variables)
+        chain.append((v, factors))
+        factors = [lowest_coefficient(f, v) for f in factors]
+    values: dict[int, int] = {}  # a symbol without a value is at 0
+    for v, factors in reversed(chain):
+        rows = [univariate_at(f, v, values) for f in factors]
+        values[v] = next(
+            t for t in count() if all(sum(c * t**e for e, c in r.items()) for r in rows)
+        )
+    point = {v: Fraction(values.get(v, 0)) for v in defect.reg.symbols()}
+    return point, defect.evaluate(point)
 
 
 def probe_zero(f: RatFunc, *, seed: int = 0) -> bool:
     """Randomized identity test: evaluate at seeded rational points.
 
     Returns True when f vanished at every probe point.  Independent of the
-    symbolic path: uses only polynomial evaluation.
+    symbolic path: uses only polynomial evaluation.  Only the numerator is
+    evaluated, so a point where the denominator vanishes does no harm.
     """
     rng = random.Random(seed)
     occurring = sorted(set(f.num.variables()) | set(f.den.variables()))
@@ -251,7 +230,7 @@ def probe_zero(f: RatFunc, *, seed: int = 0) -> bool:
         assignment = {
             v: Fraction(rng.randint(-99, 99), rng.randint(1, 7)) for v in occurring
         }
-        if f.evaluate(assignment) != 0:
+        if f.num.evaluate(assignment) != 0:
             return False
     return True
 

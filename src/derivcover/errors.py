@@ -51,10 +51,6 @@ class PreconditionError(KitError):
     """An operation's stated precondition does not hold for the inputs."""
 
 
-class SearchExhaustedError(KitError):
-    """Randomized witness search failed; indicates a bug for nonzero defects."""
-
-
 class ParseError(KitError):
     """Source text does not conform to the expression grammar."""
 

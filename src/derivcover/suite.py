@@ -43,7 +43,7 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     delta = Operator.letter(0)
 
     # 1: level-1 membership is the Leibniz rule
-    d1 = is_in_dn(delta, 1, seed=seed)
+    d1 = is_in_dn(delta, 1)
     p1 = polarization_defect(delta, 1)
     note(d1.defect)
     note(p1)
@@ -56,7 +56,7 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
             op = Operator.word(word)
             for n in range(length, min(4, max_n) + 1):
                 for level in (n, n + 1):
-                    verdict = is_in_dn(op, level, seed=seed)
+                    verdict = is_in_dn(op, level)
                     note(verdict.defect)
                     if not verdict.in_dn:
                         failures.append(f"{op.render()} escaped level {level}")
@@ -66,8 +66,8 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     failures = []
     for n in range(1, min(5, max_n) + 1):
         op = Operator.word((0,) * (n + 1))
-        low = is_in_dn(op, n, seed=seed)
-        high = is_in_dn(op, n + 1, seed=seed)
+        low = is_in_dn(op, n)
+        high = is_in_dn(op, n + 1)
         note(low.defect)
         note(high.defect)
         witness_ok = (
@@ -83,7 +83,7 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     ops = default_test_set(seed=seed)
     for op in ops:
         for n in range(1, min(3, max_n) + 1):
-            member = is_in_dn(op, n, seed=seed)
+            member = is_in_dn(op, n)
             pdef = polarization_defect(op, n)
             note(member.defect)
             note(pdef)
@@ -108,8 +108,8 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     failures = []
     for op in ops:
         for n in range(1, min(4, max_n) + 1):
-            pres = cover.rn_preservation(op, n, seed=seed)
-            member = is_in_dn(op, n, seed=seed)
+            pres = cover.rn_preservation(op, n)
+            member = is_in_dn(op, n)
             note(pres.defect)
             if pres.in_dn != member.in_dn:
                 failures.append(f"cover disagreement for {op.render()} at level {n}")

@@ -26,11 +26,10 @@ from derivcover.dclass import (
     odd_extraction_check,
     polarization_defect,
     probe_zero,
-    separation_witness,
 )
 from derivcover.errors import PreconditionError
 from derivcover.jets import JetContext, Operator
-from derivcover.poly import MPoly
+from derivcover.poly import MPoly, RatFunc
 
 
 D = Operator.letter(0)
@@ -122,8 +121,8 @@ def test_inductive_subsum_vanishes():
 
 
 def test_separation_witness_level_one():
-    assignment, value = separation_witness(1)
-    # defect 2(Dx)^2: the distinguished probe point x=0, Dx=1, D.Dx=0 gives 2
+    assignment, value = is_in_dn(DD, 1).witness
+    # defect 2(Dx)^2: Dx=1 is its first nonroot, x=0 and D.Dx=0 as they do not occur
     assert value == 2
     ctx_vars = sorted(assignment)
     assert [assignment[v] for v in ctx_vars] == [0, 1, 0]
@@ -131,10 +130,10 @@ def test_separation_witness_level_one():
 
 def test_separation_witness_higher_levels():
     for n in (2, 4):
-        assignment, value = separation_witness(n)
+        op = Operator.word((0,) * (n + 1))
+        assignment, value = is_in_dn(op, n).witness
         assert value != 0
         ctx = JetContext(1, 1, n + 1)
-        op = Operator.word((0,) * (n + 1))
         defect = dn_defect(ctx, op, n, ctx.gen(0))
         assert defect.evaluate(assignment) == value
 
@@ -200,7 +199,56 @@ def test_probe_agrees_with_symbolic_verdicts():
 def test_find_witness_determinism():
     ctx = JetContext(1, 1, 2)
     defect = dn_defect(ctx, DD, 1, ctx.gen(0))
-    assert find_witness(defect, seed=5) == find_witness(defect, seed=5)
+    assert find_witness(defect) == find_witness(defect)
+
+
+def _degree_in(p, v):
+    return max((e for mono, _ in p.sorted_terms() for w, e in mono if w == v), default=0)
+
+
+def test_witnesses_are_built_on_the_grid():
+    # every value is an integer in 0..deg_v of the defect, as constructed
+    cases = [(op, n) for op in default_test_set() for n in (1, 2, 3)]
+    cases += [(Operator.word(range(k)), k - 1) for k in range(2, 7)]
+    refuted = 0
+    for op, n in cases:
+        verdict = is_in_dn(op, n)
+        if verdict.in_dn:
+            continue
+        refuted += 1
+        defect = verdict.defect
+        assignment, value = verdict.witness
+        assert sorted(assignment) == defect.reg.symbols()
+        assert value != 0 and defect.evaluate(assignment) == value
+        for v, x in assignment.items():
+            degree = _degree_in(defect.num, v) + _degree_in(defect.den, v)
+            assert x.denominator == 1 and 0 <= x <= degree, (op.render(), n)
+    assert refuted > 20
+
+
+def test_witness_skips_the_roots_below_the_degree():
+    ctx = JetContext(1, 1, 1)
+    dx = ctx.jet(0, (0,))
+    defect = RatFunc.const(ctx, 1)
+    for a in range(-3, 4):
+        defect = defect * (RatFunc.var(ctx, dx) - a)
+    assignment, value = find_witness(defect)
+    assert assignment == {ctx.gens[0]: 0, dx: 4}
+    assert value == 5040
+
+
+def test_zero_defect_has_no_witness():
+    ctx = JetContext(1, 1, 2)
+    with pytest.raises(PreconditionError):
+        find_witness(dn_defect(ctx, D, 1, ctx.gen(0)))
+
+
+def test_probe_zero_at_a_pole():
+    ctx = JetContext(1, 1, 1)
+    f = RatFunc.const(ctx, 1) / ctx.gen(0)
+    assert probe_zero(f, seed=110) is False
+    assert not any(probe_zero(f, seed=seed) for seed in range(400))
+    assert probe_zero(f - f, seed=110)
 
 
 def test_level_must_be_positive():

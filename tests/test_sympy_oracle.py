@@ -3,8 +3,9 @@
 Seeded random polynomials and rational functions in a few variables go
 through derivcover's public API and through sympy: ring operations, exact
 division and gcd against sympy.Poly and sympy.gcd, the reduced form of a
-rational function against sympy.cancel, and the Leibniz action against a
-chain rule written here with sympy.diff.
+rational function against sympy.cancel, the Leibniz action against a
+chain rule written here with sympy.diff, and the affine-relation solver
+against the kernel of a coefficient matrix that sympy builds and solves.
 """
 
 import random
@@ -13,7 +14,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from derivcover.cosets import affine_relation  # noqa: E402
 from derivcover.jets import JetContext, derive  # noqa: E402
+from derivcover.parse import parse_func_list  # noqa: E402
 from derivcover.poly import (  # noqa: E402
     MPoly,
     RatFunc,
@@ -122,3 +125,56 @@ def test_derive_matches_sympy_leibniz_rule():
         ours = derive(ctx, second, derive(ctx, first, f))
         theirs = sympy_derive(second, sympy_derive(first, ratfunc_to_sympy(f)))
         assert sympy.cancel(ratfunc_to_sympy(ours) - theirs) == 0
+
+
+# Terms of the tuples below: polynomials in t, or partial fractions in t.
+POLYNOMIAL_TERMS = ("1", "t", "t^2", "t^3")
+FRACTION_TERMS = ("1", "t", "1/(t - 1)", "1/(t + 2)^2", "t/(t^2 - 3)")
+
+
+def random_tuple(rng: random.Random) -> list[str]:
+    """Seeded tuple texts.  Each entry is a small integer combination of one
+    family's terms.  Most tuples of two or three plant a relation: their last
+    entry is a combination of the others plus a constant."""
+    terms = rng.choice((POLYNOMIAL_TERMS, FRACTION_TERMS))
+    vectors = [[rng.randint(-2, 2) for _ in terms] for _ in range(rng.randint(1, 3))]
+    if len(vectors) > 1 and rng.random() < 0.7:
+        weights = [rng.randint(-2, 2) for _ in vectors[:-1]]
+        last = [sum(w * v[j] for w, v in zip(weights, vectors)) for j in range(len(terms))]
+        last[0] += rng.randint(-3, 3)
+        vectors[-1] = last
+    return [" + ".join(f"({c})*({t})" for c, t in zip(v, terms)) for v in vectors]
+
+
+def sympy_has_relation(exprs: list, t: "sympy.Symbol") -> bool:
+    """e1*f1 + ... + en*fn = e0 with e1..en not all zero, decided from the
+    kernel of the coefficient matrix of (f1*D, ..., fn*D, D) over the
+    powers of t, where D clears every denominator."""
+    common = sympy.lcm([sympy.fraction(sympy.cancel(f))[1] for f in exprs])
+    columns = [sympy.Poly(sympy.cancel(f * common), t) for f in exprs]
+    columns.append(sympy.Poly(common, t))
+    degree = max(c.degree() for c in columns)
+    matrix = sympy.Matrix(
+        [[c.coeff_monomial(t**k) for c in columns] for k in range(degree + 1)]
+    )
+    return any(any(vec[:-1]) for vec in matrix.nullspace())
+
+
+def test_affine_relation_matches_sympy_nullspace():
+    rng = random.Random(15)
+    t = sympy.Symbol("t")
+    found = {True: 0, False: 0}
+    for _ in range(48):
+        texts = random_tuple(rng)
+        exprs = [sympy.sympify(text.replace("^", "**")) for text in texts]
+        relation = affine_relation(parse_func_list(",".join(texts)))
+        assert (relation is not None) == sympy_has_relation(exprs, t), texts
+        found[relation is not None] += 1
+        if relation is not None:
+            total = sum(
+                (sympy.Rational(c.numerator, c.denominator) * f
+                 for c, f in zip(relation.coefficients, exprs)),
+                -sympy.Rational(relation.constant.numerator, relation.constant.denominator),
+            )
+            assert sympy.cancel(total) == 0, texts
+    assert found[True] >= 15 and found[False] >= 15
