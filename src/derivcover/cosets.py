@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContextMismatchError
-from .poly import RatFunc, VarRegistry, div_exact, mono_key, mpoly_gcd
+from .poly import RatFunc, VarRegistry, div_exact, mpoly_gcd
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ def affine_relation(funcs: list[RatFunc]) -> AffineRelation | None:
         g = mpoly_gcd(common, f.den)
         common = div_exact(common, g) * f.den
     cleared = [f.num * div_exact(common, f.den) for f in funcs]
-    columns = [dict(p.sorted_terms()) for p in cleared]
-    columns.append({m: -c for m, c in common.sorted_terms()})
-    ordered = sorted({m for col in columns for m in col}, key=mono_key)
-    rows = [[col.get(m, 0) for col in columns] for m in ordered]
+    columns = [p.terms for p in cleared] + [(-common).terms]
+    # rows in any order: the reduced echelon form, so the relation, is unique
+    monomials = {m for col in columns for m in col}
+    rows = [[col.get(m, 0) for col in columns] for m in monomials]
     basis = solve_nullspace(rows, n + 1)
     for vec in basis:
         if any(vec[i] != 0 for i in range(n)):

@@ -1,5 +1,5 @@
-"""The certification battery behind `derivcover suite`, and the brute-force
-coset oracle it checks the affine-relation solver against.
+"""The certification battery behind `derivcover suite`, and the exact
+evaluation-rank coset oracle it checks the affine-relation solver against.
 
 Each check collects a description of every failure it sees; it passes when
 it collected none, and otherwise reports the last.
@@ -10,10 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from itertools import product as iproduct
 from typing import Sequence
 
-from . import cosets, cover, dclass, poly
+from . import cosets, cover, dclass
 from .dclass import (
     default_test_set,
     inductive_subsum,
@@ -25,12 +24,13 @@ from .jets import Operator
 from .poly import MPoly, RatFunc, VarRegistry
 
 ORACLE_SAMPLES = 200  # random polynomial tuples the coset oracle compares
-ORACLE_SPAN = 5  # brute-force relations have integer entries in [-span, span]
 
 
 def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     """Run every certification up to the requested level; returns
     (name, passed, detail) triples.  Deterministic for a fixed seed."""
+    if max_n < 1:
+        raise ValueError("need max_n >= 1")
     results: list[tuple[str, bool, str]] = []
     collected: list[tuple[RatFunc, bool]] = []
 
@@ -140,8 +140,8 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
 
 
 def coset_oracle_agreement(*, seed: int) -> tuple[bool, str]:
-    """Compare the exact solver against brute-force search over small integer
-    relations, on random small polynomial tuples."""
+    """Compare the exact solver against the evaluation-rank oracle, on random
+    small polynomial tuples."""
     rng = random.Random(seed)
     for case in range(ORACLE_SAMPLES):
         reg = VarRegistry()
@@ -156,39 +156,39 @@ def coset_oracle_agreement(*, seed: int) -> tuple[bool, str]:
             )
             funcs.append(RatFunc.from_poly(p))
         solver = cosets.affine_relation(funcs) is not None
-        if solver != _brute_force_relation(funcs):
-            return False, f"solver/brute-force mismatch on case {case}"
+        if solver != _has_relation(funcs):
+            return False, f"solver/oracle mismatch on case {case}"
     return True, ""
 
 
-def _brute_force_relation(funcs: Sequence[RatFunc]) -> bool:
-    """Exhaustive search for integer relations with all entries in
-    [-ORACLE_SPAN, ORACLE_SPAN].
+def _has_relation(funcs: Sequence[RatFunc]) -> bool:
+    """Exact test for e0 + e1*f1 + ... + en*fn = 0, e1..en not all zero, over
+    rational functions of one variable.
 
-    Only the leading coefficients are enumerated: the non-constant monomial
-    rows must cancel exactly, which then forces the constant.  Any hit is
-    re-verified with exact field arithmetic.  Expects polynomial inputs.
+    With D the product of the denominators, D and each fj*D have degree at most
+    d = max deg(num_j) + sum deg(den_j); evaluation at d+1 distinct points is
+    injective on them, and scaling a row by D(t_k) != 0 keeps the rank.  So a
+    relation exists exactly when the rows (1, f1, ..., fn) at d+1 points off
+    the poles have rank below n+1, that is, when elimination leaves some
+    column without a pivot (e1..en all zero would force e0 = 0).
     """
-    span = ORACLE_SPAN
-    n = len(funcs)
-    coeffs = [dict(f.as_poly().sorted_terms()) for f in funcs]
-    monomials = sorted({m for c in coeffs for m in c if m != ()}, key=poly.mono_key)
-    vectors = [tuple(c.get(m, 0) for m in monomials) for c in coeffs]
-    constants = [c.get((), 0) for c in coeffs]
-    rows = len(monomials)
-    for eps in iproduct(range(-span, span + 1), repeat=n):
-        if all(e == 0 for e in eps):
-            continue
-        if any(
-            sum(eps[j] * vectors[j][r] for j in range(n)) != 0 for r in range(rows)
-        ):
-            continue
-        forced = sum(e * c for e, c in zip(eps, constants))
-        if forced.denominator != 1 or abs(forced) > span:
-            continue
-        total = RatFunc.zero(funcs[0].reg)
-        for e, f in zip(eps, funcs):
-            total = total + f.scale(e)
-        if (total - forced).is_zero():
+    ts = {v for f in funcs for p in (f.num, f.den) for v in p.variables()}
+    if len(ts) > 1:
+        raise ValueError("the coset oracle takes functions of one variable")
+    d = max(f.num.total_degree() for f in funcs)
+    d += sum(f.den.total_degree() for f in funcs)
+    rows, point = [], 0
+    while len(rows) <= d:
+        at = dict.fromkeys(ts, Fraction(point))
+        dens = [f.den.evaluate(at) for f in funcs]
+        if 0 not in dens:
+            values = [f.num.evaluate(at) / q for f, q in zip(funcs, dens)]
+            rows.append([Fraction(1), *values])
+        point += 1
+    for c in range(len(funcs) + 1):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
             return True
+        rows.remove(pivot)
+        rows = [[a - r[c] / pivot[c] * b for a, b in zip(r, pivot)] for r in rows]
     return False

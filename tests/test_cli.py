@@ -235,6 +235,27 @@ PINNED_REPORTS = [
         "defect: ParseError: expected 'letter', found 'end of input' (at position 4)\n"
         "witness: -\ntiming_ms: 0",
     ),
+    (
+        # seed 1 draws a coset tuple whose smallest integer relation has an
+        # entry outside [-5, 5]; the suite's oracle must still find it
+        ["suite", "--max-n", "2", "--seed", "1"],
+        "ok derivation-characterization\nok word-inclusion\nok strict-separation\n"
+        "ok polarization-equivalence\nok inductive-subsum\nok cover-equivalence\n"
+        "ok definability\nok coset-freeness\nok cross-check-oracle\n"
+        "command: suite\nparams: max_n=2 checks=9 failed=0\nverdict: holds\n"
+        "defect: -\nwitness: -\ntiming_ms: 0",
+    ),
+    (
+        # a battery below level 1 would certify nothing
+        ["suite", "--max-n", "0"],
+        "command: suite\nparams: seed=0 max_degree=64 max_n=0\nverdict: error\n"
+        "defect: ValueError: need max_n >= 1\nwitness: -\ntiming_ms: 0",
+    ),
+    (
+        ["suite", "--max-n", "-3"],
+        "command: suite\nparams: seed=0 max_degree=64 max_n=-3\nverdict: error\n"
+        "defect: ValueError: need max_n >= 1\nwitness: -\ntiming_ms: 0",
+    ),
 ]
 
 

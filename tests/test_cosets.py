@@ -15,6 +15,7 @@ import pytest
 from derivcover.cosets import AffineRelation, affine_relation, coset_free_powers
 from derivcover.parse import parse_func_list
 from derivcover.poly import MPoly, RatFunc, VarRegistry
+from derivcover.suite import _has_relation, coset_oracle_agreement
 
 from helpers import random_poly
 
@@ -57,6 +58,7 @@ def test_reciprocal_pair_is_free():
     # brute-force cross-check: e1*t + e2/t = c clears to e1*t^2 - c*t + e2 = 0,
     # which kills all three coefficients
     assert brute_relation(funcs) is None
+    assert not _has_relation(funcs)
 
 
 def test_single_constant_function_has_relation():
@@ -122,7 +124,8 @@ def test_oracle_never_beats_the_solver():
 
 def test_solver_finds_relations_outside_small_boxes():
     # minimal integer relations can escape a [-5, 5] box even for tiny inputs;
-    # the exact solver is not box-limited (regression for three such tuples)
+    # the exact solver and the suite's exact oracle are not box-limited
+    # (regression for three such tuples)
     cases = [
         "t^3-2*t^2-t, 2*t^3-2*t^2-2*t, -2*t^3-t^2+2*t-2",
         "2*t^2+1, 2*t^3+2*t^2-t-2, -2*t^3+t^2+t-1",
@@ -136,8 +139,19 @@ def test_solver_finds_relations_outside_small_boxes():
         for c, f in zip(rel.coefficients, funcs):
             total = total + f.scale(c)
         assert (total - rel.constant).is_zero()
+        assert _has_relation(funcs)
         assert brute_relation(funcs, span=5) is None
         assert brute_relation(funcs, span=12) is not None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_suite_oracle_agrees_with_solver(seed):
+    assert coset_oracle_agreement(seed=seed) == (True, "")
+
+
+def test_suite_oracle_takes_one_variable():
+    with pytest.raises(ValueError):
+        _has_relation(funcs_from("x,y"))
 
 
 def test_verdict_invariant_under_permutation_and_shift():

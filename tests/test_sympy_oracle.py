@@ -5,7 +5,8 @@ through derivcover's public API and through sympy: ring operations, exact
 division and gcd against sympy.Poly and sympy.gcd, the reduced form of a
 rational function against sympy.cancel, the Leibniz action against a
 chain rule written here with sympy.diff, and the affine-relation solver
-against the kernel of a coefficient matrix that sympy builds and solves.
+and the suite's evaluation-rank oracle against the kernel of a coefficient
+matrix that sympy builds and solves.
 """
 
 import random
@@ -24,6 +25,7 @@ from derivcover.poly import (  # noqa: E402
     div_exact,
     mpoly_gcd,
 )
+from derivcover.suite import _has_relation  # noqa: E402
 
 from helpers import random_nonzero_poly, random_poly, random_ratfunc_small_den  # noqa: E402
 
@@ -167,8 +169,11 @@ def test_affine_relation_matches_sympy_nullspace():
     for _ in range(48):
         texts = random_tuple(rng)
         exprs = [sympy.sympify(text.replace("^", "**")) for text in texts]
-        relation = affine_relation(parse_func_list(",".join(texts)))
-        assert (relation is not None) == sympy_has_relation(exprs, t), texts
+        funcs = parse_func_list(",".join(texts))
+        relation = affine_relation(funcs)
+        expected = sympy_has_relation(exprs, t)
+        assert (relation is not None) == expected, texts
+        assert _has_relation(funcs) == expected, texts
         found[relation is not None] += 1
         if relation is not None:
             total = sum(
