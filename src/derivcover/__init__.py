@@ -5,7 +5,6 @@ All arithmetic is exact over the rationals; every verdict is a bit-exact
 polynomial identity or comes with a rational counterexample witness.
 """
 
-from .arith import Rational, binom
 from .cosets import AffineRelation, affine_relation, coset_free_powers
 from .cover import (
     CoverModel,
@@ -37,14 +36,6 @@ from .dclass import (
 )
 from .jets import JetContext, Operator, apply_operator, derive
 from .parse import SourceExpr, parse_func_list, parse_operator, parse_ratfunc
-from .poly import (
-    MPoly,
-    RatFunc,
-    VarRegistry,
-    get_degree_limit,
-    mpoly_gcd,
-    odd_component,
-    set_degree_limit,
-)
+from .poly import MPoly, RatFunc, VarRegistry, mpoly_gcd, odd_component
 
 __version__ = "0.1.0"

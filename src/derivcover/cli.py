@@ -15,7 +15,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from . import cosets, cover, poly, suite
+from . import cosets, cover, suite
 from .dclass import (
     DEFAULT_LEVEL_CAP,
     MembershipVerdict,
@@ -24,9 +24,9 @@ from .dclass import (
     polarization_defect,
 )
 from .jets import Operator
-from .parse import parse_func_list, parse_operator
+from .parse import MAX_DEGREE, parse_func_list, parse_operator
 
-GRAMMAR_HELP = """\
+GRAMMAR_HELP = f"""\
 operator grammar:   operator := term (('+'|'-') term)*
                     term     := [rational '*'] word
                     word     := letter ('.' letter)*     e.g. D1.D2 (D2 applies first)
@@ -35,6 +35,7 @@ operator grammar:   operator := term (('+'|'-') term)*
 function grammar:   arithmetic over variables [a-z][0-9]*, integer literals,
                     + - * / ^ and parentheses; ^ binds tightest (integer
                     exponent), then unary minus, then * /, then + -.
+                    No numerator or denominator may pass total degree {MAX_DEGREE}.
 """
 
 
@@ -114,7 +115,7 @@ def _membership(verdict: MembershipVerdict) -> Report:
 
 # ---------------------------------------------------------------------------
 # Subcommand bodies.  `run` parses --op and checks the level cap first, and
-# fills in the command and its own options; a body adds any further params.
+# fills in the command and its required options; a body adds any further params.
 
 
 def _dn_separation(args) -> Report:
@@ -170,6 +171,7 @@ def _suite(args) -> Report:
         "; ".join(failed) if failed else None,
         params={
             "max_n": str(args.max_n),
+            "seed": str(args.seed),
             "checks": str(len(results)),
             "failed": str(len(failed)),
         },
@@ -188,32 +190,32 @@ class Command(NamedTuple):
 COMMANDS = {
     "dn check": Command(
         "is --op in the order-n class? (zero defect of the defining identity)",
-        ("n", "op"),
+        ("n", "op", "max_n"),
         lambda args: _membership(is_in_dn(args.op, args.n)),
     ),
     "dn separation": Command(
         "certify that the (n+1)-fold iterate of one derivation escapes the "
         "order-n class (expected verdict: refuted, with witness) while "
         "satisfying the order-(n+1) identity",
-        ("n",),
+        ("n", "max_n"),
         _dn_separation,
         reach=1,
     ),
     "dn polarize": Command(
         "does --op satisfy the multilinear form of the order-n identity?",
-        ("n", "op"),
+        ("n", "op", "max_n"),
         lambda args: _membership(
             MembershipVerdict.of(polarization_defect(args.op, args.n))
         ),
     ),
     "dn subsum": Command(
         "certify the vanishing cross-term subsum behind class inclusion",
-        ("n",),
+        ("n", "max_n"),
         _dn_subsum,
     ),
     "cover preserve": Command(
         "does the fiber move of --op preserve the level-n relation?",
-        ("n", "op"),
+        ("n", "op", "max_n"),
         lambda args: _membership(
             cover.rn_preservation(args.op, args.n)
         ),
@@ -225,7 +227,7 @@ COMMANDS = {
     ),
     "cover reduct": Command(
         "certify the level-n relation is equivalent to shifted product powers",
-        ("n",),
+        ("n", "max_n"),
         lambda args: Report(_verdict(cover.rn_reduct_check(args.n))),
     ),
     "cover ring-check": Command(
@@ -238,7 +240,11 @@ COMMANDS = {
         ("funcs",),
         _coset_check,
     ),
-    "suite": Command("run the whole certification battery up to --max-n", (), _suite),
+    "suite": Command(
+        "run the whole certification battery up to --max-n",
+        ("seed", "max_n"),
+        _suite,
+    ),
 }
 
 GROUP_HELP = {
@@ -254,6 +260,16 @@ OPTIONS = {
         "required": True,
         "help": "comma-separated functions, e.g. 't,t^2,t^3'",
     },
+    "seed": {
+        "type": int,
+        "default": 0,
+        "help": "seed for the suite's test set and probe points",
+    },
+    "max_n": {
+        "type": int,
+        "default": DEFAULT_LEVEL_CAP,
+        "help": "cap on the class level n (suite: run the battery up to this level)",
+    },
 }
 
 
@@ -267,20 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    seed_help = "seed for the suite's test set and probe points"
-    common.add_argument("--seed", type=int, default=0, help=seed_help)
-    common.add_argument(
-        "--max-degree",
-        type=int,
-        default=64,
-        help="total-degree guard for polynomial products",
-    )
-    common.add_argument(
-        "--max-n",
-        type=int,
-        default=DEFAULT_LEVEL_CAP,
-        help="cap on the class level n (suite: run the battery up to this level)",
     )
 
     parser = argparse.ArgumentParser(
@@ -302,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         owner = actions[group] if action else sub
         c = owner.add_parser(action or group, parents=[common], help=cmd.help)
         for option in cmd.options:
-            c.add_argument(f"--{option}", **OPTIONS[option])
+            c.add_argument(f"--{option.replace('_', '-')}", **OPTIONS[option])
         c.set_defaults(command=name)
     return parser
 
@@ -311,10 +313,10 @@ def run(argv: Sequence[str]) -> Report:
     """Execute one CLI invocation and return its report."""
     args = _build_parser().parse_args(argv)
     cmd = COMMANDS[args.command]
-    params = {option: str(getattr(args, option)) for option in cmd.options}
-    old_limit = poly.get_degree_limit()
+    given = {option: str(getattr(args, option)) for option in cmd.options}
+    # every report echoes the required inputs; an error report also the settings
+    params = {o: v for o, v in given.items() if "default" not in OPTIONS[o]}
     try:
-        poly.set_degree_limit(args.max_degree)
         if "op" in cmd.options:  # a parse error wins over the level cap
             args.op = parse_operator(args.op)
         if "n" in cmd.options and args.n + cmd.reach > args.max_n:
@@ -325,11 +327,7 @@ def run(argv: Sequence[str]) -> Report:
         report = cmd.body(args)
         report.params = params | report.params
     except Exception as exc:  # every failure is an error report, never a traceback
-        for option in ("seed", "max_degree", "max_n"):
-            params[option] = str(getattr(args, option))
-        report = Report("error", f"{type(exc).__name__}: {exc}", params=params)
-    finally:
-        poly.set_degree_limit(old_limit)
+        report = Report("error", f"{type(exc).__name__}: {exc}", params=given)
     report.command = args.command
     report.format = args.format
     return report

@@ -24,7 +24,8 @@ class MissingVariableError(KitError):
 
 
 class DegreeGuardError(KitError):
-    """An operation would exceed the configured total-degree limit."""
+    """A total degree would pass a fixed limit: 2**15 - 1, the most a
+    packed exponent field holds, or parse.MAX_DEGREE for a parsed function."""
 
 
 class ExactDivisionError(KitError):

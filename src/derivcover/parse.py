@@ -14,6 +14,9 @@ Rational-function grammar: usual arithmetic over variables matching
 [a-z][0-9]*, nonnegative integer literals, + - * / ^ and parentheses.
 `^` (with an integer literal exponent) binds tightest, then unary minus,
 then * and /, then + and -.  Parentheses nest at most MAX_NESTING deep.
+No numerator or denominator, of the function or of any step on the way to
+it, may pass total degree MAX_DEGREE; a power is refused before it is
+computed.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, UnknownLetterError
+from .errors import DegreeGuardError, ParseError, UnknownLetterError
 from .jets import Operator
 from .poly import RatFunc, VarRegistry
 
 # Deeper parentheses would exhaust the interpreter stack in the recursive descent.
 MAX_NESTING = 100
+# Text is the one unbounded source of degree: the level commands reach n+2.
+MAX_DEGREE = 64
 
 OPERATOR_EXPR = "operator-expr"
 RATFUNC_EXPR = "ratfunc-expr"
@@ -199,12 +204,23 @@ def parse_ratfunc(
     return value
 
 
+def _degree_guard(value: RatFunc, what: str, exp: int = 1) -> RatFunc:
+    """Refuse value**exp if its numerator or denominator passes MAX_DEGREE."""
+    for part in (value.num, value.den):
+        degree = part.total_degree() * exp
+        if degree > MAX_DEGREE:
+            raise DegreeGuardError(
+                f"{what} would reach total degree {degree} > limit {MAX_DEGREE}"
+            )
+    return value
+
+
 def _sum(cur: _Cursor, reg, allow_new) -> RatFunc:
     value = _product(cur, reg, allow_new)
     while cur.peek().kind in ("+", "-"):
         op = cur.next().kind
         rhs = _product(cur, reg, allow_new)
-        value = value + rhs if op == "+" else value - rhs
+        value = _degree_guard(value + rhs if op == "+" else value - rhs, "sum")
     return value
 
 
@@ -213,7 +229,7 @@ def _product(cur: _Cursor, reg, allow_new) -> RatFunc:
     while cur.peek().kind in ("*", "/"):
         op = cur.next().kind
         rhs = _signed(cur, reg, allow_new)
-        value = value * rhs if op == "*" else value / rhs
+        value = _degree_guard(value * rhs if op == "*" else value / rhs, "product")
     return value
 
 
@@ -231,7 +247,7 @@ def _power(cur: _Cursor, reg, allow_new) -> RatFunc:
     while cur.peek().kind == "^":
         cur.next()
         exp = int(cur.expect("int").text)
-        value = value**exp
+        value = _degree_guard(value, "power", exp) ** exp
     return value
 
 

@@ -25,9 +25,8 @@ empty tuple is the constant monomial.  from_terms() packs such tuples.
 
 No field may overflow.  A monomial whose total degree exceeds 2**15 - 1 is
 refused with DegreeGuardError wherever it could arise: when packing, in every
-product and power, and in the gcd helpers.  Exact division builds no product
-of higher degree than its dividend.  The total-degree guard set with
-set_degree_limit() applies on top of this to the * and ** operators.
+product and power.  Exact division builds no product of higher degree than
+its dividend.
 
 A rational function is a pair num/den in fully reduced form: gcd(num, den)
 is constant, den has integer coefficients with content 1 and a positive
@@ -63,22 +62,6 @@ Coeff = int | Fraction
 
 _FIELD_BITS = 16  # exponents() reads the fields as array("H") items
 _MAX_EXP = (1 << (_FIELD_BITS - 1)) - 1  # largest exponent or total degree
-_DEFAULT_DEGREE_LIMIT = 64
-_degree_limit = _DEFAULT_DEGREE_LIMIT
-
-
-def get_degree_limit() -> int:
-    return _degree_limit
-
-
-def set_degree_limit(limit: int) -> int:
-    """Set the total-degree guard for products and powers; returns the old limit."""
-    global _degree_limit
-    if limit < 1:
-        raise ValueError("degree limit must be positive")
-    old = _degree_limit
-    _degree_limit = limit
-    return old
 
 
 def _field_guard(bound: int, what: str) -> None:
@@ -87,14 +70,6 @@ def _field_guard(bound: int, what: str) -> None:
             f"{what} would reach total degree {bound} > {_MAX_EXP}, "
             "the most an exponent field holds"
         )
-
-
-def _limit_guard(bound: int, what: str) -> None:
-    if bound > _degree_limit:
-        raise DegreeGuardError(
-            f"{what} would reach total degree {bound} > limit {_degree_limit}"
-        )
-    _field_guard(bound, what)
 
 
 def _norm(c: Coeff) -> Coeff:
@@ -376,15 +351,6 @@ class MPoly:
                 terms[m] = get(m, 0) + ca * cb
         return MPoly.from_packed(self.reg, terms)
 
-    def _mul_raw(self, other: "MPoly") -> "MPoly":
-        """Product without the degree limit (internal use: gcd); a field
-        overflow still raises DegreeGuardError."""
-        self._check(other)
-        if not self.terms or not other.terms:
-            return MPoly.zero(self.reg)
-        _field_guard(self.total_degree() + other.total_degree(), "product")
-        return self._times(other)
-
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
         if other is None:
@@ -392,7 +358,7 @@ class MPoly:
         if not self.terms or not other.terms:
             return MPoly.zero(self.reg)
         self._check(other)
-        _limit_guard(self.total_degree() + other.total_degree(), "product")
+        _field_guard(self.total_degree() + other.total_degree(), "product")
         return self._times(other)
 
     __rmul__ = __mul__
@@ -402,7 +368,7 @@ class MPoly:
             raise ValueError("MPoly powers take nonnegative integer exponents")
         if k == 0:
             return MPoly.const(self.reg, 1)
-        _limit_guard(self.total_degree() * k, "power")
+        _field_guard(self.total_degree() * k, "power")
         if not self.terms:
             return self
         result = None
@@ -620,13 +586,6 @@ def _var_power(reg: VarRegistry, v: int, k: int) -> MPoly:
     return MPoly(reg, {(k << reg._shift[v]) + k: 1})
 
 
-def _pow_raw(f: MPoly, k: int) -> MPoly:
-    out = MPoly.const(f.reg, 1)
-    for _ in range(k):
-        out = out._mul_raw(f)
-    return out
-
-
 def _pseudo_rem(f: MPoly, g: MPoly, v: int) -> MPoly:
     """Pseudo-remainder lc_v(g)^(deg f - deg g + 1) * f mod g, for deg f >= deg g."""
     df = _degree_in(f, v)
@@ -639,12 +598,12 @@ def _pseudo_rem(f: MPoly, g: MPoly, v: int) -> MPoly:
         if dr < dg:
             break
         lr = _coeff_in(r, v, dr)
-        r = lg._mul_raw(r) - lr._mul_raw(_var_power(f.reg, v, dr - dg))._mul_raw(g)
+        r = lg * r - lr * _var_power(f.reg, v, dr - dg) * g
         steps += 1
     # normalize to the full lc power so the subresultant divisions stay exact
     missing = df - dg + 1 - steps
     if missing > 0 and not r.is_zero():
-        r = r._mul_raw(_pow_raw(lg, missing))
+        r = r * lg**missing
     return r
 
 
@@ -716,12 +675,12 @@ def _gcd_in_var(a: MPoly, b: MPoly, v: int) -> MPoly:
             return _content_pp_in(b, v)[1]
         if _degree_in(r, v) == 0:
             return one
-        a, b = b, div_exact(r, g._mul_raw(_pow_raw(h, delta)))
+        a, b = b, div_exact(r, g * h**delta)
         g = _coeff_in(a, v, _degree_in(a, v))
         if delta == 1:
             h = g
         elif delta > 1:
-            h = div_exact(_pow_raw(g, delta), _pow_raw(h, delta - 1))
+            h = div_exact(g**delta, h ** (delta - 1))
 
 
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
@@ -778,7 +737,7 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
             ca, fa = _content_pp_in(pa, v)
             cb, fb = _content_pp_in(pb, v)
             cg = mpoly_gcd(ca, cb)
-            core = cg._mul_raw(_gcd_in_var(fa, fb, v))
+            core = cg * _gcd_in_var(fa, fb, v)
     if mono:
         core = MPoly(reg, {m + mono: c for m, c in core.terms.items()})
     return primitive_part(core)

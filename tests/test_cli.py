@@ -1,6 +1,7 @@
 """CLI surface: verdicts, exit codes, report formats, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -36,23 +37,32 @@ def test_exit_code_error():
     assert report.exit_code == 2
 
 
-def test_bad_degree_budget_is_an_error():
-    report = run(["dn", "check", "--n", "1", "--op", "D1", "--max-degree", "0"])
-    assert report.verdict == "error"
-    assert report.exit_code == 2
-
-
 def test_error_report_keeps_its_params():
-    report = run(["dn", "check", "--n", "1", "--op", "D1", "--max-degree", "0"])
+    report = run(["dn", "check", "--n", "9", "--op", "D1"])
     assert report.verdict == "error"
-    assert report.params == {
-        "n": "1",
-        "op": "D1",
-        "seed": "0",
-        "max_degree": "0",
-        "max_n": "6",
-    }
-    assert "params: n=1 op=D1 seed=0 max_degree=0 max_n=6" in report.to_text()
+    assert report.params == {"n": "9", "op": "D1", "max_n": "6"}
+    assert "params: n=9 op=D1 max_n=6" in report.to_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dn", "check", "--n", "1", "--op", "D1", "--max-degree", "64"],
+        ["dn", "check", "--n", "1", "--op", "D1", "--seed", "1"],
+    ],
+    ids=["max-degree", "seed"],
+)
+def test_removed_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+
+
+def test_suite_report_names_its_seed():
+    a = run(["suite", "--max-n", "2", "--seed", "0"])
+    b = run(["suite", "--max-n", "2", "--seed", "1"])
+    assert a.params["seed"] == "0" and b.params["seed"] == "1"
+    assert a.params != b.params
 
 
 def test_unexpected_failure_is_an_error_report(monkeypatch):
@@ -156,22 +166,9 @@ def test_text_format_mirrors_fields():
 
 
 def test_single_command_determinism():
-    a = run(["dn", "check", "--n", "3", "--op", "D1.D2", "--seed", "4"]).to_json()
-    b = run(["dn", "check", "--n", "3", "--op", "D1.D2", "--seed", "4"]).to_json()
+    a = run(["dn", "check", "--n", "3", "--op", "D1.D2"]).to_json()
+    b = run(["dn", "check", "--n", "3", "--op", "D1.D2"]).to_json()
     assert a == b
-
-
-def test_seed_changes_random_witness_but_stays_valid():
-    a = run(["dn", "check", "--n", "2", "--op", "D1.D1.D1", "--seed", "1"])
-    b = run(["dn", "check", "--n", "2", "--op", "D1.D1.D1", "--seed", "1"])
-    assert a.to_json() == b.to_json()
-    assert a.verdict == "refuted" and a.witness is not None
-
-
-def test_max_degree_flag_guards():
-    report = run(["dn", "check", "--n", "5", "--op", "D1", "--max-degree", "4"])
-    assert report.verdict == "error"
-    assert "degree" in report.defect.lower()
 
 
 def test_console_entry_point():
@@ -186,75 +183,109 @@ def test_console_entry_point():
 
 
 PINNED_REPORTS = [
-    (
+    pytest.param(
         ["dn", "subsum", "--n", "2"],
         "command: dn subsum\nparams: n=2\nverdict: holds\ndefect: 0\n"
         "witness: -\ntiming_ms: 0",
+        id="dn-subsum-n2",
     ),
-    (
+    pytest.param(
         ["cover", "reduct", "--n", "2"],
         "command: cover reduct\nparams: n=2\nverdict: holds\ndefect: -\n"
         "witness: -\ntiming_ms: 0",
+        id="cover-reduct-n2",
     ),
-    (
+    pytest.param(
         ["cover", "psi-check"],
         "command: cover psi-check\nparams: -\nverdict: holds\ndefect: -\n"
         "witness: -\ntiming_ms: 0",
+        id="cover-psi-check",
     ),
-    (
+    pytest.param(
         ["coset", "check", "--funcs", "t,t^2,t^3"],
         "command: coset check\nparams: funcs=t,t^2,t^3\nverdict: holds\n"
         "defect: -\nwitness: -\ntiming_ms: 0",
+        id="coset-check-powers",
     ),
-    (
+    pytest.param(
         ["coset", "check", "--funcs", "t,2*t+3"],
         "command: coset check\nparams: funcs=t,2*t+3\nverdict: refuted\n"
         "defect: coefficients: (1, -1/2); constant: -3/2\nwitness: -\ntiming_ms: 0",
+        id="coset-check-affine",
     ),
-    (
+    pytest.param(
+        # a parsed function may not pass total degree 64
+        ["coset", "check", "--funcs", "t^65"],
+        "command: coset check\nparams: funcs=t^65\nverdict: error\n"
+        "defect: DegreeGuardError: power would reach total degree 65 > limit 64\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-degree-limit",
+    ),
+    pytest.param(
+        # each entry has degree 40; only the solver's common denominator
+        # reaches 80, and the limit bounds parsed text alone
+        ["coset", "check", "--funcs", "1/(t^40+1),1/(t^40+2)"],
+        "command: coset check\nparams: funcs=1/(t^40+1),1/(t^40+2)\n"
+        "verdict: holds\ndefect: -\nwitness: -\ntiming_ms: 0",
+        id="coset-check-solver-degree",
+    ),
+    pytest.param(
+        # --max-n is the only bound on the level
+        ["dn", "check", "--n", "70", "--max-n", "100", "--op", "D1"],
+        "command: dn check\nparams: n=70 op=D1\nverdict: holds\ndefect: 0\n"
+        "witness: -\ntiming_ms: 0",
+        id="dn-check-raised-level-cap",
+    ),
+    pytest.param(
         ["suite", "--max-n", "2"],
         "ok derivation-characterization\nok word-inclusion\nok strict-separation\n"
         "ok polarization-equivalence\nok inductive-subsum\nok cover-equivalence\n"
         "ok definability\nok coset-freeness\nok cross-check-oracle\n"
-        "command: suite\nparams: max_n=2 checks=9 failed=0\nverdict: holds\n"
+        "command: suite\nparams: max_n=2 seed=0 checks=9 failed=0\nverdict: holds\n"
         "defect: -\nwitness: -\ntiming_ms: 0",
+        id="suite-max-n2",
     ),
-    (
+    pytest.param(
         # separation also certifies level n+1, so that is the level capped
         ["dn", "separation", "--n", "9"],
-        "command: dn separation\nparams: n=9 seed=0 max_degree=64 max_n=6\n"
+        "command: dn separation\nparams: n=9 max_n=6\n"
         "verdict: error\n"
         "defect: ValueError: level 10 exceeds the configured cap 6 (--max-n)\n"
         "witness: -\ntiming_ms: 0",
+        id="dn-separation-level-cap",
     ),
-    (
+    pytest.param(
         # the operator is parsed before its level is checked against the cap
         ["dn", "check", "--n", "9", "--op", "D1 +"],
-        "command: dn check\nparams: n=9 op=D1 + seed=0 max_degree=64 max_n=6\n"
+        "command: dn check\nparams: n=9 op=D1 + max_n=6\n"
         "verdict: error\n"
         "defect: ParseError: expected 'letter', found 'end of input' (at position 4)\n"
         "witness: -\ntiming_ms: 0",
+        id="dn-check-parse-error",
     ),
-    (
+    pytest.param(
         # seed 1 draws a coset tuple whose smallest integer relation has an
         # entry outside [-5, 5]; the suite's oracle must still find it
         ["suite", "--max-n", "2", "--seed", "1"],
         "ok derivation-characterization\nok word-inclusion\nok strict-separation\n"
         "ok polarization-equivalence\nok inductive-subsum\nok cover-equivalence\n"
         "ok definability\nok coset-freeness\nok cross-check-oracle\n"
-        "command: suite\nparams: max_n=2 checks=9 failed=0\nverdict: holds\n"
+        "command: suite\nparams: max_n=2 seed=1 checks=9 failed=0\nverdict: holds\n"
         "defect: -\nwitness: -\ntiming_ms: 0",
+        id="suite-max-n2-seed1",
     ),
-    (
+    pytest.param(
         # a battery below level 1 would certify nothing
         ["suite", "--max-n", "0"],
-        "command: suite\nparams: seed=0 max_degree=64 max_n=0\nverdict: error\n"
+        "command: suite\nparams: seed=0 max_n=0\nverdict: error\n"
         "defect: ValueError: need max_n >= 1\nwitness: -\ntiming_ms: 0",
+        id="suite-max-n0",
     ),
-    (
+    pytest.param(
         ["suite", "--max-n", "-3"],
-        "command: suite\nparams: seed=0 max_degree=64 max_n=-3\nverdict: error\n"
+        "command: suite\nparams: seed=0 max_n=-3\nverdict: error\n"
         "defect: ValueError: need max_n >= 1\nwitness: -\ntiming_ms: 0",
+        id="suite-max-n-negative",
     ),
 ]
 
@@ -284,3 +315,27 @@ def test_every_command_has_help(command, capsys):
         run(command.split() + ["--help"])
     assert err.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: derivcover {command} ")
+
+
+# The options each command accepts; an option a command never reads is a
+# dead knob.  Every command also takes --help and --format.
+COMMAND_OPTIONS = {
+    "dn check": {"--n", "--op", "--max-n"},
+    "dn separation": {"--n", "--max-n"},
+    "dn polarize": {"--n", "--op", "--max-n"},
+    "dn subsum": {"--n", "--max-n"},
+    "cover preserve": {"--n", "--op", "--max-n"},
+    "cover psi-check": set(),
+    "cover reduct": {"--n", "--max-n"},
+    "cover ring-check": {"--op"},
+    "coset check": {"--funcs"},
+    "suite": {"--seed", "--max-n"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_command_option_sets(command, capsys):
+    with pytest.raises(SystemExit):
+        run(command.split() + ["--help"])
+    options = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+    assert options == {"--format"} | COMMAND_OPTIONS[command]

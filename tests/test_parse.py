@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from derivcover.errors import DivisionByZeroError, ParseError, UnknownLetterError
+from derivcover.errors import (
+    DegreeGuardError,
+    DivisionByZeroError,
+    ParseError,
+    UnknownLetterError,
+)
 from derivcover.jets import Operator
 from derivcover.parse import (
+    MAX_DEGREE,
     MAX_NESTING,
     OPERATOR_EXPR,
     RATFUNC_EXPR,
@@ -16,7 +22,7 @@ from derivcover.parse import (
     parse_operator,
     parse_ratfunc,
 )
-from derivcover.poly import VarRegistry
+from derivcover.poly import RatFunc, VarRegistry
 
 
 def test_word_parsing():
@@ -105,6 +111,26 @@ def test_ratfunc_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_ratfunc("t $ u")
     assert err.value.position == 2
+
+
+def test_degree_limit_on_parsed_functions(monkeypatch):
+    assert parse_ratfunc(f"t^{MAX_DEGREE}").num.total_degree() == MAX_DEGREE
+    with pytest.raises(DegreeGuardError) as err:
+        parse_ratfunc(f"t^{MAX_DEGREE + 1}")
+    assert str(err.value) == "power would reach total degree 65 > limit 64"
+    # each entry is within the limit; their common denominator is not
+    with pytest.raises(DegreeGuardError):
+        parse_ratfunc("1/(t^40+1)+1/(t^40+2)")
+    with pytest.raises(DegreeGuardError):
+        parse_ratfunc("t^40*t^40")
+
+    # an oversized power is refused before any of it is computed
+    def no_power(self, k):
+        raise AssertionError("power computed")
+
+    monkeypatch.setattr(RatFunc, "__pow__", no_power)
+    with pytest.raises(DegreeGuardError):
+        parse_ratfunc("(t+1)^30000")
 
 
 def test_unknown_variable_when_frozen():
