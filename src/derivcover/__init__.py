@@ -7,7 +7,6 @@ polynomial identity or comes with a rational counterexample witness.
 
 from .cosets import AffineRelation, affine_relation, coset_free_powers
 from .cover import (
-    CoverModel,
     CoverPoint,
     ominus,
     oplus,
@@ -35,7 +34,7 @@ from .dclass import (
     probe_zero,
 )
 from .jets import JetContext, Operator, apply_operator, derive
-from .parse import SourceExpr, parse_func_list, parse_operator, parse_ratfunc
+from .parse import parse_func_list, parse_operator, parse_ratfunc
 from .poly import MPoly, RatFunc, VarRegistry, mpoly_gcd, odd_component
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .dclass import (
     polarization_defect,
 )
 from .jets import Operator
-from .parse import MAX_DEGREE, parse_func_list, parse_operator
+from .parse import MAX_COEFF_BITS, MAX_DEGREE, parse_func_list, parse_operator
 
 GRAMMAR_HELP = f"""\
 operator grammar:   operator := term (('+'|'-') term)*
@@ -35,7 +35,8 @@ operator grammar:   operator := term (('+'|'-') term)*
 function grammar:   arithmetic over variables [a-z][0-9]*, integer literals,
                     + - * / ^ and parentheses; ^ binds tightest (integer
                     exponent), then unary minus, then * /, then + -.
-                    No numerator or denominator may pass total degree {MAX_DEGREE}.
+                    No numerator or denominator may pass total degree {MAX_DEGREE}
+                    or hold a coefficient of more than {MAX_COEFF_BITS} bits.
 """
 
 

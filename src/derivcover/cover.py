@@ -90,26 +90,14 @@ def otimes_power(p: CoverPoint, k: int) -> CoverPoint:
     return out
 
 
-@dataclass(frozen=True)
-class CoverModel:
-    """The level-n cover: which relation R holds between n+1 points."""
-
-    n: int
-    ctx: JetContext
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("cover level must be >= 1")
-
-
-def rn_holds(model: CoverModel, points: list[CoverPoint]) -> bool:
+def rn_holds(n: int, points: list[CoverPoint]) -> bool:
     """Exact check of the level-n relation on a tuple of n+1 points."""
-    n = model.n
+    if n < 1:
+        raise ValueError("cover level must be >= 1")
     if len(points) != n + 1:
         raise ArityError(f"relation takes {n + 1} points, got {len(points)}")
-    for p in points:
-        if p.base.reg is not model.ctx:
-            raise ContextMismatchError("point does not live in the model context")
+    for p in points[1:]:
+        _check_pair(points[0], p)
     alpha = points[0].base
     for i, p in enumerate(points, start=1):
         if p.base != alpha**i:
@@ -127,7 +115,7 @@ def sigma(op: Operator, p: CoverPoint) -> CoverPoint:
     return CoverPoint(p.base, p.fiber + apply_operator(ctx, op, p.base))
 
 
-def generic_rn_point(op: Operator, n: int) -> tuple[CoverModel, list[CoverPoint]]:
+def generic_rn_point(op: Operator, n: int) -> list[CoverPoint]:
     """Generic tuple satisfying the level-n relation: base generator alpha,
     free fiber generators for the first n points, last fiber forced."""
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
@@ -136,7 +124,7 @@ def generic_rn_point(op: Operator, n: int) -> tuple[CoverModel, list[CoverPoint]
     points = [CoverPoint(alpha ** (i + 1), fibers[i]) for i in range(n)]
     last = CoverPoint(alpha ** (n + 1), level_combination(n, alpha, fibers))
     points.append(last)
-    return CoverModel(n, ctx), points
+    return points
 
 
 def rn_preservation(op: Operator, n: int) -> MembershipVerdict:
@@ -145,8 +133,7 @@ def rn_preservation(op: Operator, n: int) -> MembershipVerdict:
     Returns the defect of the relation's fiber equation after the move; zero
     defect is equivalent to membership in the order-n derivation class.
     """
-    model, points = generic_rn_point(op, n)
-    moved = [sigma(op, p) for p in points]
+    moved = [sigma(op, p) for p in generic_rn_point(op, n)]
     alpha = moved[0].base
     expected = level_combination(n, alpha, [p.fiber for p in moved[:n]])
     return MembershipVerdict.of(moved[n].fiber - expected)
@@ -184,7 +171,7 @@ def rn_reduct_check(n: int) -> bool:
 
     # forward: a generic relation tuple determines unique shifts satisfying
     # the constraint
-    model, points = generic_rn_point(Operator.zero(), n)
+    points = generic_rn_point(Operator.zero(), n)
     a1 = points[0]
     eps: dict[int, RatFunc] = {}
     for i in range(2, n + 2):
@@ -207,7 +194,7 @@ def rn_reduct_check(n: int) -> bool:
     points = [a1]
     for i in range(2, n + 2):
         points.append(star(eps[i], otimes_power(a1, i)))
-    return rn_holds(CoverModel(n, ctx), points)
+    return rn_holds(n, points)
 
 
 def sigma_ring_defect(op: Operator) -> CoverPoint:

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count, product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -100,27 +100,19 @@ def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
     return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)))
 
 
-def _products_without(xs: Sequence[RatFunc], skip: frozenset[int]) -> RatFunc:
-    out = None
-    for i, x in enumerate(xs):
-        if i in skip:
-            continue
-        out = x if out is None else out * x
-    assert out is not None
-    return out
-
-
-def multilinear_rhs(ctx: JetContext, op: Operator, xs: Sequence[RatFunc]) -> RatFunc:
-    """The multilinear combination sum_k (-1)^(k+1) sum_{|T|=k} x_T F(x_complement)."""
-    n = len(xs) - 1
+def _polarized(ctx: JetContext, op: Operator, xs: Sequence[RatFunc]) -> RatFunc:
+    """F(x1...x_{n+1}) minus the multilinear combination
+    sum_k (-1)^(k+1) sum_{|T|=k} x_T F(x_rest), as one signed sum over the
+    proper subsets T of the generators: sum_T (-1)^|T| x_T F(x_rest)."""
+    # products[mask] multiplies the xs[i] whose bit i is set in mask
+    products = [RatFunc.const(ctx, 1)]
+    for x in xs:
+        products += [p * x for p in products]
+    everything = len(products) - 1
     total = RatFunc.zero(ctx)
-    for k in range(1, n + 1):
-        sign = (-1) ** (k + 1)
-        for chosen in combinations(range(n + 1), k):
-            skip = frozenset(chosen)
-            coeff_part = _products_without(xs, frozenset(range(n + 1)) - skip)
-            f_part = apply_operator(ctx, op, _products_without(xs, skip))
-            total = total + (coeff_part * f_part).scale(sign)
+    for mask in range(everything):  # the proper subsets T
+        term = products[mask] * apply_operator(ctx, op, products[everything ^ mask])
+        total = total - term if mask.bit_count() % 2 else total + term
     return total
 
 
@@ -132,9 +124,7 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
     """
     _check_level(n)
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
-    xs = [ctx.gen(i) for i in range(n + 1)]
-    lhs = apply_operator(ctx, op, _products_without(xs, frozenset()))
-    return lhs - multilinear_rhs(ctx, op, xs)
+    return _polarized(ctx, op, [ctx.gen(i) for i in range(n + 1)])
 
 
 def odd_extraction_check(op: Operator, n: int) -> bool:
@@ -155,14 +145,12 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     gens = ctx.gens
     factorial = math.factorial(n + 1)
     left = odd_component(apply_operator(ctx, op, s ** (n + 1)).as_poly(), gens)
-    left_target = apply_operator(ctx, op, _products_without(xs, frozenset())).scale(
-        factorial
-    )
-    if left != left_target.as_poly():
+    whole = apply_operator(ctx, op, math.prod(xs))
+    if left != whole.scale(factorial).as_poly():
         return False
     images = (apply_operator(ctx, op, s**i) for i in range(1, n + 1))
     right = odd_component(level_combination(n, s, images).as_poly(), gens)
-    right_target = multilinear_rhs(ctx, op, xs).scale(factorial)
+    right_target = (whole - _polarized(ctx, op, xs)).scale(factorial)
     return right == right_target.as_poly()
 
 
@@ -238,33 +226,15 @@ def probe_zero(f: RatFunc, *, seed: int = 0) -> bool:
 def default_test_set(*, seed: int = 0) -> list[Operator]:
     """Fixed operator battery: all words of length <= 3 over TEST_SET_LETTERS letters,
     plus five seeded two-term rational combinations of short words."""
-    ops: list[Operator] = []
-    words: list[tuple[int, ...]] = []
-    for length in (1, 2, 3):
-        for w in _all_words(TEST_SET_LETTERS, length):
-            words.append(w)
-            ops.append(Operator.word(w))
+    letters = range(TEST_SET_LETTERS)
+    words = [w for length in (1, 2, 3) for w in product(letters, repeat=length)]
+    ops = [Operator.word(w) for w in words]
     rng = random.Random(seed)
     short = [w for w in words if len(w) <= 2]
-    coeffs = [
-        Fraction(1),
-        Fraction(-1),
-        Fraction(2),
-        Fraction(-2),
-        Fraction(1, 2),
-        Fraction(3, 2),
-    ]
+    coeffs = [Fraction(c) for c in ("1", "-1", "2", "-2", "1/2", "3/2")]
     for _ in range(5):
         w1, w2 = rng.sample(short, 2)
         c1, c2 = rng.choice(coeffs), rng.choice(coeffs)
         ops.append(Operator.from_terms([(w1, c1), (w2, c2)]))
     return ops
 
-
-def _all_words(letters: int, length: int) -> Iterable[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for w in _all_words(letters, length - 1):
-        for a in range(letters):
-            yield w + (a,)

@@ -24,8 +24,10 @@ class MissingVariableError(KitError):
 
 
 class DegreeGuardError(KitError):
-    """A total degree would pass a fixed limit: 2**15 - 1, the most a
-    packed exponent field holds, or parse.MAX_DEGREE for a parsed function."""
+    """A fixed size limit would be passed: total degree or coefficient bits.
+    The limits are 2**15 - 1 in total degree, the most a packed exponent
+    field holds, and for a parsed function parse.MAX_DEGREE in total degree
+    and parse.MAX_COEFF_BITS in coefficient bits."""
 
 
 class ExactDivisionError(KitError):

@@ -200,22 +200,7 @@ class Operator:
     def __add__(self, other) -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = acc
-        return Operator(terms)
-
-    def __neg__(self) -> "Operator":
-        return Operator({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self + (-other)
+        return Operator.from_terms([*self.terms.items(), *other.terms.items()])
 
     def __mul__(self, c) -> "Operator":
         if not isinstance(c, (int, Fraction)):

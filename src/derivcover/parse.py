@@ -15,8 +15,11 @@ Rational-function grammar: usual arithmetic over variables matching
 `^` (with an integer literal exponent) binds tightest, then unary minus,
 then * and /, then + and -.  Parentheses nest at most MAX_NESTING deep.
 No numerator or denominator, of the function or of any step on the way to
-it, may pass total degree MAX_DEGREE; a power is refused before it is
-computed.
+it, may pass total degree MAX_DEGREE, and no literal or + - * / result may
+hold a coefficient of more than MAX_COEFF_BITS bits (in its numerator or
+denominator).  A power is refused before it is computed, when the exponent
+times the base's degree passes MAX_DEGREE or the exponent times the base's
+largest coefficient bit length passes MAX_COEFF_BITS.
 """
 
 from __future__ import annotations
@@ -24,25 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeGuardError, ParseError, UnknownLetterError
+from .errors import DegreeGuardError, ParseError
 from .jets import Operator
 from .poly import RatFunc, VarRegistry
 
 # Deeper parentheses would exhaust the interpreter stack in the recursive descent.
 MAX_NESTING = 100
-# Text is the one unbounded source of degree: the level commands reach n+2.
+# Text is the one unbounded source of degree (the level commands reach n+2)
+# and of coefficient size (4096 bits is about 1,233 decimal digits).
 MAX_DEGREE = 64
-
-OPERATOR_EXPR = "operator-expr"
-RATFUNC_EXPR = "ratfunc-expr"
-
-
-@dataclass(frozen=True)
-class SourceExpr:
-    """A piece of source text tagged with which grammar it belongs to."""
-
-    text: str
-    kind: str  # OPERATOR_EXPR or RATFUNC_EXPR
+MAX_COEFF_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ class _Cursor:
 # Operators
 
 
-def parse_operator(text: str, *, alphabet_size: int | None = None) -> Operator:
+def parse_operator(text: str) -> Operator:
     """Parse operator text into canonical form (duplicates merged, zeros dropped)."""
     cur = _Cursor(_tokenize(text, letters=True))
     terms: list[tuple[tuple[int, ...], Fraction]] = []
@@ -127,27 +121,25 @@ def parse_operator(text: str, *, alphabet_size: int | None = None) -> Operator:
     if cur.peek().kind == "-":
         cur.next()
         sign = Fraction(-1)
-    terms.append(_operator_term(cur, sign, alphabet_size))
+    terms.append(_operator_term(cur, sign))
     while cur.peek().kind in ("+", "-"):
         sep = cur.next()
         sign = Fraction(1) if sep.kind == "+" else Fraction(-1)
-        terms.append(_operator_term(cur, sign, alphabet_size))
+        terms.append(_operator_term(cur, sign))
     cur.expect("end")
     return Operator.from_terms(terms)
 
 
-def _operator_term(
-    cur: _Cursor, sign: Fraction, alphabet_size: int | None
-) -> tuple[tuple[int, ...], Fraction]:
+def _operator_term(cur: _Cursor, sign: Fraction) -> tuple[tuple[int, ...], Fraction]:
     coeff = sign
     tok = cur.peek()
     if tok.kind in ("int", "-"):
         coeff = coeff * _rational(cur)
         cur.expect("*")
-    word = [_letter(cur, alphabet_size)]
+    word = [_letter(cur)]
     while cur.peek().kind == ".":
         cur.next()
-        word.append(_letter(cur, alphabet_size))
+        word.append(_letter(cur))
     return tuple(word), coeff
 
 
@@ -171,17 +163,12 @@ def _rational(cur: _Cursor) -> Fraction:
     return Fraction(sign * num)
 
 
-def _letter(cur: _Cursor, alphabet_size: int | None) -> int:
+def _letter(cur: _Cursor) -> int:
     tok = cur.expect("letter")
     number = int(tok.text[1:])
     if number < 1:
         raise ParseError("derivation letters are numbered from 1", tok.pos)
-    index = number - 1
-    if alphabet_size is not None and index >= alphabet_size:
-        raise UnknownLetterError(
-            f"letter {tok.text} exceeds alphabet of size {alphabet_size}"
-        )
-    return index
+    return number - 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +192,23 @@ def parse_ratfunc(
 
 
 def _degree_guard(value: RatFunc, what: str, exp: int = 1) -> RatFunc:
-    """Refuse value**exp if its numerator or denominator passes MAX_DEGREE."""
+    """Refuse value**exp if its numerator or denominator would pass MAX_DEGREE
+    in total degree or MAX_COEFF_BITS in coefficient bits (exp times the
+    largest bit length of a coefficient's numerator or denominator)."""
     for part in (value.num, value.den):
         degree = part.total_degree() * exp
         if degree > MAX_DEGREE:
             raise DegreeGuardError(
                 f"{what} would reach total degree {degree} > limit {MAX_DEGREE}"
+            )
+        bits = exp * max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length())
+             for c in part.terms.values()),
+            default=0,
+        )
+        if bits > MAX_COEFF_BITS:
+            raise DegreeGuardError(
+                f"{what} would reach {bits} coefficient bits > limit {MAX_COEFF_BITS}"
             )
     return value
 
@@ -255,7 +253,7 @@ def _atom(cur: _Cursor, reg, allow_new) -> RatFunc:
     tok = cur.peek()
     if tok.kind == "int":
         cur.next()
-        return RatFunc.const(reg, int(tok.text))
+        return _degree_guard(RatFunc.const(reg, int(tok.text)), "literal")
     if tok.kind == "name":
         cur.next()
         v = reg.lookup(tok.text)
@@ -276,10 +274,9 @@ def _atom(cur: _Cursor, reg, allow_new) -> RatFunc:
     raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
 
 
-def parse_func_list(text: str, reg: VarRegistry | None = None) -> list[RatFunc]:
+def parse_func_list(text: str) -> list[RatFunc]:
     """Parse a comma-separated list of rational functions in one shared registry."""
-    if reg is None:
-        reg = VarRegistry()
+    reg = VarRegistry()
     parts = text.split(",")
     if any(not p.strip() for p in parts):
         raise ParseError("empty entry in function list", 0)

@@ -326,12 +326,6 @@ class MPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def _times(self, other: "MPoly") -> "MPoly":
         """Product of two nonzero polynomials whose degrees were checked."""
         a, b = self.terms, other.terms
@@ -864,12 +858,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "RatFunc":
         # cross-cancellation keeps the result coprime without a final gcd
         other = self._coerce(other)
@@ -908,13 +896,8 @@ class RatFunc:
         return other / self
 
     def __pow__(self, k: int) -> "RatFunc":
-        if not isinstance(k, int):
-            raise ValueError("RatFunc powers take integer exponents")
-        if k < 0:
-            if self.is_zero():
-                raise DivisionByZeroError("negative power of zero")
-            inv = RatFunc.make(self.den, self.num)
-            return inv ** (-k)
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("RatFunc powers take nonnegative integer exponents")
         # num and den are coprime, so the powers stay coprime (Gauss)
         return RatFunc(self.num**k, self.den**k)
 

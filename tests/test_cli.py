@@ -222,6 +222,14 @@ PINNED_REPORTS = [
         id="coset-check-degree-limit",
     ),
     pytest.param(
+        # nor hold a coefficient past 4096 bits; the power is not computed
+        ["coset", "check", "--funcs", "2^300000,t"],
+        "command: coset check\nparams: funcs=2^300000,t\nverdict: error\n"
+        "defect: DegreeGuardError: power would reach 600000 coefficient bits > limit 4096\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-coefficient-limit",
+    ),
+    pytest.param(
         # each entry has degree 40; only the solver's common denominator
         # reaches 80, and the limit bounds parsed text alone
         ["coset", "check", "--funcs", "1/(t^40+1),1/(t^40+2)"],

@@ -39,7 +39,7 @@ def brute_relation(funcs, span=5):
 
 
 def funcs_from(text):
-    return parse_func_list(text, VarRegistry())
+    return parse_func_list(text)
 
 
 def test_constructed_relation_found():

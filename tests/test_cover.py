@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from derivcover.cover import (
-    CoverModel,
     CoverPoint,
     generic_rn_point,
     ominus,
@@ -120,20 +119,32 @@ def test_fiber_principal_homogeneity():
 def test_relation_examples_level_one():
     ctx = JetContext(2)
     t, a = ctx.gen(0), ctx.gen(1)
-    model = CoverModel(1, ctx)
     good = [CoverPoint(t, a), CoverPoint(t**2, (t * a).scale(2))]
-    assert rn_holds(model, good)
+    assert rn_holds(1, good)
     bad_fiber = [CoverPoint(t, RatFunc.zero(ctx)), CoverPoint(t**2, RatFunc.const(ctx, 5))]
-    assert not rn_holds(model, bad_fiber)
+    assert not rn_holds(1, bad_fiber)
     bad_base = [CoverPoint(t, RatFunc.zero(ctx)), CoverPoint(t**3, RatFunc.zero(ctx))]
-    assert not rn_holds(model, bad_base)
+    assert not rn_holds(1, bad_base)
 
 
 def test_relation_arity_checked():
     ctx = JetContext(2)
-    model = CoverModel(2, ctx)
     with pytest.raises(ArityError):
-        rn_holds(model, [CoverPoint(ctx.gen(0), ctx.gen(1))])
+        rn_holds(2, [CoverPoint(ctx.gen(0), ctx.gen(1))])
+
+
+def test_relation_level_must_be_positive():
+    ctx = JetContext(2)
+    with pytest.raises(ValueError, match="cover level must be >= 1"):
+        rn_holds(0, [CoverPoint(ctx.gen(0), ctx.gen(1))])
+
+
+def test_relation_points_share_one_context():
+    ctx1, ctx2 = JetContext(2), JetContext(2)
+    t = ctx2.gen(0)
+    points = [CoverPoint(ctx1.gen(0), ctx1.gen(1)), CoverPoint(t**2, RatFunc.zero(ctx2))]
+    with pytest.raises(ContextMismatchError):
+        rn_holds(1, points)
 
 
 def test_context_mismatch_between_points():
@@ -161,8 +172,7 @@ def test_sigma_formula_and_composition():
 
 def test_generic_relation_point_satisfies_relation():
     for n in (1, 2, 3):
-        model, points = generic_rn_point(Operator.zero(), n)
-        assert rn_holds(model, points)
+        assert rn_holds(n, generic_rn_point(Operator.zero(), n))
 
 
 def test_preservation_examples():
@@ -204,7 +214,7 @@ def test_reduct_equivalence():
 def test_reduct_shift_formula_level_two():
     # at level 2 the forced shifts are eps2 = a2' - 2 alpha a1',
     # eps3 = a3' - 3 alpha^2 a1', tied by eps3 = 3 alpha eps2
-    model, points = generic_rn_point(Operator.zero(), 2)
+    points = generic_rn_point(Operator.zero(), 2)
     a1 = points[0]
     alpha = pi(a1)
     eps2 = points[1].fiber - otimes_power(a1, 2).fiber

@@ -12,8 +12,10 @@ The multilinear level-1 defect of D.D is
     D.D(x1 x2) - x2 D.D(x1) - x1 D.D(x2) = 2 D(x1) D(x2).
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,7 +30,7 @@ from derivcover.dclass import (
     probe_zero,
 )
 from derivcover.errors import PreconditionError
-from derivcover.jets import JetContext, Operator
+from derivcover.jets import JetContext, Operator, apply_operator
 from derivcover.poly import MPoly, RatFunc
 
 
@@ -256,3 +258,26 @@ def test_level_must_be_positive():
         is_in_dn(D, 0)
     with pytest.raises(ValueError):
         inductive_subsum(0)
+    with pytest.raises(ValueError):
+        polarization_defect(D, 0)
+
+
+def expanded_polarization_defect(op, n):
+    """F(x1...x_{n+1}) - sum_k (-1)^(k+1) sum_{|T|=k} x_T F(x_{T^c}), term by term."""
+    ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
+    xs = [ctx.gen(i) for i in range(n + 1)]
+    rhs = RatFunc.zero(ctx)
+    for k in range(1, n + 1):
+        for chosen in combinations(range(n + 1), k):
+            x_t = math.prod(xs[i] for i in chosen)
+            rest = math.prod(xs[i] for i in range(n + 1) if i not in chosen)
+            rhs = rhs + (x_t * apply_operator(ctx, op, rest)).scale((-1) ** (k + 1))
+    return apply_operator(ctx, op, math.prod(xs)) - rhs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polarization_defect_matches_the_expansion(seed):
+    for op in default_test_set(seed=seed):
+        for n in (1, 2, 3):
+            expected = expanded_polarization_defect(op, n).render()
+            assert polarization_defect(op, n).render() == expected, (op.render(), n)

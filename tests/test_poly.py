@@ -54,6 +54,13 @@ def test_binomial_expansion():
     assert cube.render() == "t^3 + 3*t^2 + 3*t + 1"
 
 
+def test_powers_take_nonnegative_exponents():
+    t, _ = t_var()
+    for base in (t, t.num):
+        with pytest.raises(ValueError):
+            base ** -1
+
+
 def test_division_by_zero_polynomial():
     t, reg = t_var()
     with pytest.raises(DivisionByZeroError):
