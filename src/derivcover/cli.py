@@ -24,7 +24,7 @@ from .dclass import (
     polarization_defect,
 )
 from .jets import Operator
-from .parse import MAX_COEFF_BITS, MAX_DEGREE, parse_func_list, parse_operator
+from .parse import MAX_COEFF_BITS, MAX_DEGREE, MAX_DIGITS, parse_func_list, parse_operator
 
 GRAMMAR_HELP = f"""\
 operator grammar:   operator := term (('+'|'-') term)*
@@ -37,6 +37,7 @@ function grammar:   arithmetic over variables [a-z][0-9]*, integer literals,
                     exponent), then unary minus, then * /, then + -.
                     No numerator or denominator may pass total degree {MAX_DEGREE}
                     or hold a coefficient of more than {MAX_COEFF_BITS} bits.
+both grammars:      a number has at most {MAX_DIGITS} digits.
 """
 
 

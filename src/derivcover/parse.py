@@ -20,6 +20,9 @@ hold a coefficient of more than MAX_COEFF_BITS bits (in its numerator or
 denominator).  A power is refused before it is computed, when the exponent
 times the base's degree passes MAX_DEGREE or the exponent times the base's
 largest coefficient bit length passes MAX_COEFF_BITS.
+
+In both grammars a run of digits read as a number holds at most MAX_DIGITS
+digits.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ MAX_NESTING = 100
 # and of coefficient size (4096 bits is about 1,233 decimal digits).
 MAX_DEGREE = 64
 MAX_COEFF_BITS = 4096
+# Longest digit run read as a number: below CPython's 4,300-digit limit on
+# int/str conversion, and above the 1,234 digits that pass MAX_COEFF_BITS.
+MAX_DIGITS = 2000
 
 
 @dataclass(frozen=True)
@@ -56,21 +62,16 @@ def _tokenize(text: str, letters: bool) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if letters and ch == "D":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+        if ch.isdigit() or (letters and ch == "D"):
+            j = k = i + (ch == "D")
+            while k < n and text[k].isdigit():
+                k += 1
+            if k == j:
                 raise ParseError("expected digits after 'D'", i)
-            tokens.append(_Token("letter", text[i:j], i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
+            if k - j > MAX_DIGITS:
+                raise ParseError(f"number of {k - j} digits > limit {MAX_DIGITS}", i)
+            tokens.append(_Token("letter" if ch == "D" else "int", text[i:k], i))
+            i = k
             continue
         if not letters and ch.isalpha() and ch.islower():
             j = i + 1

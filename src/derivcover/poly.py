@@ -45,7 +45,6 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Collection, Iterable, Mapping
 
 from .errors import (
@@ -483,10 +482,10 @@ def _primitive(f: MPoly) -> tuple[int, int, MPoly]:
 def div_exact(f: MPoly, d: MPoly) -> MPoly:
     """Quotient f/d when the division is exact; raises ExactDivisionError otherwise.
 
-    Heap division in the packed order (Johnson; Monagan and Pearce): each
-    next term of f - q*d comes from merging the terms of f with the products
-    q_i*d_j in a heap, so the remainder is never rebuilt.  A quotient term
-    that cannot belong to an exact quotient (a monomial not divisible by the
+    Long division in the packed order: while the remainder is nonzero, its
+    largest term over the leading term of d gives the next quotient term, and
+    that term times d is subtracted from the remainder.  A quotient term that
+    cannot belong to an exact quotient (a monomial not divisible by the
     leading one, a total degree above deg f - deg d, or a monomial below
     trailing(f)/trailing(d)) stops the division, so no product exceeds deg f.
     """
@@ -501,40 +500,27 @@ def div_exact(f: MPoly, d: MPoly) -> MPoly:
     guard = f.reg._guard
     q_deg = f.total_degree() - d.total_degree()
     q_low = min(f.terms) - min(d.terms)
-    if q_deg < 0 or q_low & guard or (max(f.terms) - max(d.terms)) & guard:
+    lm = max(d.terms)
+    if q_deg < 0 or q_low & guard or (max(f.terms) - lm) & guard:
         raise ExactDivisionError("division is not exact")
-    ds = sorted(d.terms.items(), reverse=True)
-    fs = sorted(f.terms.items(), reverse=True)
-    lm, lc = ds[0]
-    rest = ds[1:]
-    heap: list[tuple[int, int, int]] = []  # (-monomial of q_i*rest_j, i, j)
-    q_monos: list[int] = []
-    q_coeffs: list[Coeff] = []
-    k = 0
-    while k < len(fs) or heap:
-        if heap and (k == len(fs) or -heap[0][0] >= fs[k][0]):
-            m = -heap[0][0]
-        else:
-            m = fs[k][0]
-        c = 0
-        if k < len(fs) and fs[k][0] == m:
-            c = fs[k][1]
-            k += 1
-        while heap and heap[0][0] == -m:
-            _, i, j = heappop(heap)
-            c -= q_coeffs[i] * rest[j][1]
-            if j + 1 < len(rest):
-                heappush(heap, (-(q_monos[i] + rest[j + 1][0]), i, j + 1))
-        if not c:
-            continue
+    lc = d.terms[lm]
+    rest = [(m, c) for m, c in d.terms.items() if m != lm]
+    r = dict(f.terms)
+    q: dict[int, Coeff] = {}
+    while r:
+        m = max(r)
         qm = m - lm
         if qm & guard or qm < q_low or qm & _MAX_EXP > q_deg:
             raise ExactDivisionError("division is not exact")
-        q_monos.append(qm)
-        q_coeffs.append(_quo(c, lc))
-        if rest:
-            heappush(heap, (-(qm + rest[0][0]), len(q_monos) - 1, 0))
-    return MPoly(f.reg, dict(zip(q_monos, q_coeffs)))
+        qc = q[qm] = _quo(r.pop(m), lc)
+        for dm, dc in rest:
+            dm += qm
+            c = r.get(dm, 0) - qc * dc
+            if c:
+                r[dm] = c
+            else:
+                del r[dm]
+    return MPoly(f.reg, q)
 
 
 def _degree_in(f: MPoly, v: int) -> int:

@@ -37,15 +37,24 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     def note(defect: RatFunc) -> None:
         collected.append((defect, defect.is_zero()))
 
+    decided: dict[tuple[str, int], dclass.MembershipVerdict] = {}
+
+    def member(op: Operator, n: int) -> dclass.MembershipVerdict:
+        """is_in_dn(op, n), decided and noted once per (operator, level)."""
+        key = (op.render(), n)
+        if key not in decided:
+            decided[key] = is_in_dn(op, n)
+            note(decided[key].defect)
+        return decided[key]
+
     def record(name: str, failures: list[str]) -> None:
         results.append((name, not failures, failures[-1] if failures else ""))
 
     delta = Operator.letter(0)
 
     # 1: level-1 membership is the Leibniz rule
-    d1 = is_in_dn(delta, 1)
+    d1 = member(delta, 1)
     p1 = polarization_defect(delta, 1)
-    note(d1.defect)
     note(p1)
     record("derivation-characterization", [] if d1.in_dn and p1.is_zero() else [""])
 
@@ -54,22 +63,17 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     for length in range(1, min(4, max_n) + 1):
         for word in permutations(range(4), length):
             op = Operator.word(word)
-            for n in range(length, min(4, max_n) + 1):
-                for level in (n, n + 1):
-                    verdict = is_in_dn(op, level)
-                    note(verdict.defect)
-                    if not verdict.in_dn:
-                        failures.append(f"{op.render()} escaped level {level}")
+            for level in range(length, min(4, max_n) + 2):
+                if not member(op, level).in_dn:
+                    failures.append(f"{op.render()} escaped level {level}")
     record("word-inclusion", failures)
 
     # 3: the (n+1)-fold iterate separates consecutive classes
     failures = []
     for n in range(1, min(5, max_n) + 1):
         op = Operator.word((0,) * (n + 1))
-        low = is_in_dn(op, n)
-        high = is_in_dn(op, n + 1)
-        note(low.defect)
-        note(high.defect)
+        low = member(op, n)
+        high = member(op, n + 1)
         witness_ok = (
             low.witness is not None
             and low.defect.evaluate(low.witness[0]) == low.witness[1] != 0
@@ -83,13 +87,12 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     ops = default_test_set(seed=seed)
     for op in ops:
         for n in range(1, min(3, max_n) + 1):
-            member = is_in_dn(op, n)
+            in_dn = member(op, n).in_dn
             pdef = polarization_defect(op, n)
-            note(member.defect)
             note(pdef)
-            if member.in_dn != pdef.is_zero():
+            if in_dn != pdef.is_zero():
                 failures.append(f"equivalence failed for {op.render()} at level {n}")
-            elif member.in_dn and not dclass.odd_extraction_check(op, n):
+            elif in_dn and not dclass.odd_extraction_check(op, n):
                 failures.append(
                     f"parity extraction failed for {op.render()} at level {n}"
                 )
@@ -109,9 +112,8 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     for op in ops:
         for n in range(1, min(4, max_n) + 1):
             pres = cover.rn_preservation(op, n)
-            member = is_in_dn(op, n)
             note(pres.defect)
-            if pres.in_dn != member.in_dn:
+            if pres.in_dn != member(op, n).in_dn:
                 failures.append(f"cover disagreement for {op.render()} at level {n}")
     record("cover-equivalence", failures)
 

@@ -20,13 +20,15 @@ def random_poly(
     max_terms: int = 4,
     max_exp: int = 2,
     span: int = 5,
+    fractions: bool = False,
 ) -> MPoly:
     terms = []
     for _ in range(rng.randint(0, max_terms)):
         mono = tuple(
             (v, e) for v in sorted(vars_) if (e := rng.randint(0, max_exp)) > 0
         )
-        terms.append((mono, Fraction(rng.randint(-span, span))))
+        c = random_fraction(rng, span) if fractions else Fraction(rng.randint(-span, span))
+        terms.append((mono, c))
     return MPoly.from_terms(reg, terms)
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from derivcover.cli import Report, run
+from derivcover.dclass import is_in_dn
 
 
 def test_exit_code_holds():
@@ -63,6 +64,20 @@ def test_suite_report_names_its_seed():
     b = run(["suite", "--max-n", "2", "--seed", "1"])
     assert a.params["seed"] == "0" and b.params["seed"] == "1"
     assert a.params != b.params
+
+
+def test_suite_decides_each_membership_once(monkeypatch):
+    from derivcover import suite
+
+    decided = []
+
+    def counting(op, n):
+        decided.append((op.render(), n))
+        return is_in_dn(op, n)
+
+    monkeypatch.setattr(suite, "is_in_dn", counting)
+    assert all(passed for _, passed, _ in suite.battery(4, 0))
+    assert decided and len(decided) == len(set(decided))
 
 
 def test_unexpected_failure_is_an_error_report(monkeypatch):
@@ -294,6 +309,35 @@ PINNED_REPORTS = [
         "command: suite\nparams: seed=0 max_n=-3\nverdict: error\n"
         "defect: ValueError: need max_n >= 1\nwitness: -\ntiming_ms: 0",
         id="suite-max-n-negative",
+    ),
+    # a number token is refused before CPython's 4,300-digit conversion limit
+    pytest.param(
+        ["coset", "check", "--funcs", "9" * 5000 + ",t"],
+        f"command: coset check\nparams: funcs={'9' * 5000},t\nverdict: error\n"
+        "defect: ParseError: number of 5000 digits > limit 2000 (at position 0)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-long-literal",
+    ),
+    pytest.param(
+        ["coset", "check", "--funcs", "t^" + "1" * 5000],
+        f"command: coset check\nparams: funcs=t^{'1' * 5000}\nverdict: error\n"
+        "defect: ParseError: number of 5000 digits > limit 2000 (at position 2)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-long-exponent",
+    ),
+    pytest.param(
+        ["dn", "check", "--n", "1", "--op", "D" + "1" * 5000],
+        f"command: dn check\nparams: n=1 op=D{'1' * 5000} max_n=6\nverdict: error\n"
+        "defect: ParseError: number of 5000 digits > limit 2000 (at position 0)\n"
+        "witness: -\ntiming_ms: 0",
+        id="dn-check-long-letter",
+    ),
+    pytest.param(
+        ["dn", "check", "--n", "1", "--op", "1" * 5000 + "*D1"],
+        f"command: dn check\nparams: n=1 op={'1' * 5000}*D1 max_n=6\nverdict: error\n"
+        "defect: ParseError: number of 5000 digits > limit 2000 (at position 0)\n"
+        "witness: -\ntiming_ms: 0",
+        id="dn-check-long-coefficient",
     ),
 ]
 

@@ -14,6 +14,7 @@ from derivcover.jets import Operator
 from derivcover.parse import (
     MAX_COEFF_BITS,
     MAX_DEGREE,
+    MAX_DIGITS,
     MAX_NESTING,
     parse_func_list,
     parse_operator,
@@ -147,6 +148,23 @@ def test_coefficient_limit_on_parsed_functions(monkeypatch):
     monkeypatch.setattr(RatFunc, "__pow__", no_power)
     with pytest.raises(DegreeGuardError):
         parse_ratfunc("3^100000000")
+
+
+def test_digit_limit_in_both_grammars():
+    digits = "1" * MAX_DIGITS
+    assert parse_operator(f"{digits}*D{digits}").render() == f"{digits}*D{digits}"
+    assert parse_ratfunc(f"t^{'0' * MAX_DIGITS}").render() == "1"
+    for text, pos in [(f"1{digits}*D1", 0), (f"D1 + D1{digits}", 5)]:
+        with pytest.raises(ParseError) as err:
+            parse_operator(text)
+        assert err.value.position == pos
+    for text, pos in [(f"1{digits}", 0), (f"t^0{'0' * MAX_DIGITS}", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(text)
+        assert err.value.position == pos
+    assert str(err.value) == (
+        f"number of {MAX_DIGITS + 1} digits > limit {MAX_DIGITS} (at position 2)"
+    )
 
 
 def test_unknown_variable_when_frozen():

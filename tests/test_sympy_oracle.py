@@ -16,6 +16,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from derivcover.cosets import affine_relation  # noqa: E402
+from derivcover.errors import ExactDivisionError  # noqa: E402
 from derivcover.jets import JetContext, derive  # noqa: E402
 from derivcover.parse import parse_func_list  # noqa: E402
 from derivcover.poly import (  # noqa: E402
@@ -79,6 +80,37 @@ def test_exact_division_and_gcd_match_sympy():
         theirs = sympy.gcd(to_sympy(ag), to_sympy(bg))
         unit = sympy.cancel(ours / theirs)
         assert unit.is_number and unit != 0
+
+
+def fraction_division_registries():
+    reg, vars_, _ = three_generators()
+    yield reg, vars_
+    # jets allocated against index order, so the packed order differs too
+    ctx = JetContext(2, alphabet_size=2, max_word_len=2)
+    yield ctx, (ctx.jet(1, (1, 1)), ctx.jet(0, (1,)), ctx.jet(1, (0,)), ctx.gens[0])
+
+
+@pytest.mark.parametrize("reg, vars_", fraction_division_registries(), ids=["gens", "jets"])
+def test_exact_division_with_fraction_coefficients(reg, vars_):
+    rng = random.Random(16)
+    gens = [sympy.Symbol(reg.name(v)) for v in vars_]
+    refused = 0
+    for _ in range(25):
+        a, d, extra = (
+            random_nonzero_poly(rng, reg, vars_, max_terms=3, fractions=True)
+            for _ in range(3)
+        )
+        assert div_exact(a * d, d) == a
+        # one more term, which usually leaves a remainder
+        f = a * d + MPoly.from_terms(reg, [extra.leading()])
+        _, r = sympy.div(sympy.Poly(to_sympy(f), *gens), sympy.Poly(to_sympy(d), *gens))
+        if r.is_zero:
+            assert div_exact(f, d) * d == f
+        else:
+            with pytest.raises(ExactDivisionError):
+                div_exact(f, d)
+            refused += 1
+    assert refused >= 15
 
 
 def test_ratfunc_canonical_form_matches_cancel():
