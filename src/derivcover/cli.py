@@ -38,6 +38,7 @@ function grammar:   arithmetic over variables [a-z][0-9]*, integer literals,
                     No numerator or denominator may pass total degree {MAX_DEGREE}
                     or hold a coefficient of more than {MAX_COEFF_BITS} bits.
 both grammars:      a number has at most {MAX_DIGITS} digits.
+                    Give a value that starts with '-' after '=': --op=-D1.
 """
 
 

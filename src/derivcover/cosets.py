@@ -105,7 +105,7 @@ def _verify(funcs: list[RatFunc], coeffs: tuple[Fraction, ...], const: Fraction)
     total = RatFunc.zero(funcs[0].reg)
     for c, f in zip(coeffs, funcs):
         total = total + f.scale(c)
-    if not (total - const).is_zero():
+    if not (total - RatFunc.const(total.reg, const)).is_zero():
         raise AssertionError("solver returned a relation that does not hold")
 
 

@@ -145,7 +145,7 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     gens = ctx.gens
     factorial = math.factorial(n + 1)
     left = odd_component(apply_operator(ctx, op, s ** (n + 1)).as_poly(), gens)
-    whole = apply_operator(ctx, op, math.prod(xs))
+    whole = apply_operator(ctx, op, math.prod(xs[1:], start=xs[0]))
     if left != whole.scale(factorial).as_poly():
         return False
     images = (apply_operator(ctx, op, s**i) for i in range(1, n + 1))

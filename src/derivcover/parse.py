@@ -62,9 +62,9 @@ def _tokenize(text: str, letters: bool) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (letters and ch == "D"):
+        if "0" <= ch <= "9" or (letters and ch == "D"):
             j = k = i + (ch == "D")
-            while k < n and text[k].isdigit():
+            while k < n and "0" <= text[k] <= "9":
                 k += 1
             if k == j:
                 raise ParseError("expected digits after 'D'", i)
@@ -73,9 +73,9 @@ def _tokenize(text: str, letters: bool) -> list[_Token]:
             tokens.append(_Token("letter" if ch == "D" else "int", text[i:k], i))
             i = k
             continue
-        if not letters and ch.isalpha() and ch.islower():
+        if not letters and "a" <= ch <= "z":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("name", text[i:j], i))
             i = j

@@ -33,6 +33,9 @@ is constant, den has integer coefficients with content 1 and a positive
 leading coefficient.  Equality of values is therefore equality of
 representation.
 
+Each binary operator of MPoly and RatFunc takes an operand of its own class
+only; a number enters arithmetic through const() or scale().
+
 Variables live in a VarRegistry, which assigns indices and remembers,
 for each variable, whether it is an ordinary generator or a jet symbol (the
 formal image of a derivation word applied to a generator).  Jet metadata is
@@ -245,11 +248,6 @@ class MPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return Fraction(self.terms.get(0, 0))
-
     def total_degree(self) -> int:
         return max(map(_MAX_EXP.__and__, self.terms), default=0)
 
@@ -288,17 +286,7 @@ class MPoly:
         if self.reg is not other.reg:
             raise ContextMismatchError("polynomials belong to different registries")
 
-    def _coerce(self, other) -> "MPoly | None":
-        if isinstance(other, MPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.reg, other)
-        return None
-
-    def __add__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
         if not self.terms:
             return other
@@ -314,15 +302,10 @@ class MPoly:
                 del terms[m]
         return MPoly(self.reg, terms)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MPoly":
         return MPoly(self.reg, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def _times(self, other: "MPoly") -> "MPoly":
@@ -344,17 +327,12 @@ class MPoly:
                 terms[m] = get(m, 0) + ca * cb
         return MPoly.from_packed(self.reg, terms)
 
-    def __mul__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __mul__(self, other: "MPoly") -> "MPoly":
         if not self.terms or not other.terms:
             return MPoly.zero(self.reg)
         self._check(other)
         _field_guard(self.total_degree() + other.total_degree(), "product")
         return self._times(other)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MPoly":
         if not isinstance(k, int) or k < 0:
@@ -406,8 +384,6 @@ class MPoly:
     # -- equality and display
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.reg is other.reg and self.terms == other.terms
@@ -796,21 +772,9 @@ class RatFunc:
             raise ValueError("rational function has a nontrivial denominator")
         return self.num
 
-    def _coerce(self, other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, MPoly):
-            return RatFunc.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.reg, other)
-        return None
-
-    def __add__(self, other) -> "RatFunc":
+    def __add__(self, other: "RatFunc") -> "RatFunc":
         # denominators are reduced pairwise (gcd of the dens, then gcd with the
         # cross sum), so no full-size gcd is ever taken
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.num + other.num, self.den)
         if self.is_zero():
@@ -833,22 +797,14 @@ class RatFunc:
             return RatFunc._normalized(t, self.den * db)
         return RatFunc._normalized(div_exact(t, g1), div_exact(self.den, g1) * db)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
-    def __mul__(self, other) -> "RatFunc":
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
         # cross-cancellation keeps the result coprime without a final gcd
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.num * other.num, self.den)
         if self.is_zero() or other.is_zero():
@@ -865,21 +821,10 @@ class RatFunc:
             da = div_exact(da, g2)
         return RatFunc._normalized(na * nb, da * db)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise DivisionByZeroError("division by the zero rational function")
         return self * RatFunc._normalized(other.den, other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, k: int) -> "RatFunc":
         if not isinstance(k, int) or k < 0:
@@ -898,9 +843,6 @@ class RatFunc:
         return self.num.evaluate(assignment) / dv
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, MPoly)):
-            coerced = self._coerce(other)
-            return self.num == coerced.num and self.den == coerced.den
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -6,9 +6,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from derivcover import errors
 from derivcover.cli import Report, run
 from derivcover.dclass import is_in_dn
+
+from helpers import FOREIGN_CHARS, function_list_text, operator_text
 
 
 def test_exit_code_holds():
@@ -339,6 +343,37 @@ PINNED_REPORTS = [
         "witness: -\ntiming_ms: 0",
         id="dn-check-long-coefficient",
     ),
+    # digits are ASCII 0-9 and names [a-z][0-9]*; any other character is
+    # refused where it stands
+    pytest.param(
+        ["coset", "check", "--funcs", "t^²"],
+        "command: coset check\nparams: funcs=t^²\nverdict: error\n"
+        "defect: ParseError: unexpected character '²' (at position 2)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-superscript-exponent",
+    ),
+    pytest.param(
+        ["dn", "check", "--n", "1", "--op", "D١"],
+        "command: dn check\nparams: n=1 op=D١ max_n=6\nverdict: error\n"
+        "defect: ParseError: expected digits after 'D' (at position 0)\n"
+        "witness: -\ntiming_ms: 0",
+        id="dn-check-arabic-indic-letter",
+    ),
+    pytest.param(
+        ["coset", "check", "--funcs", "é"],
+        "command: coset check\nparams: funcs=é\nverdict: error\n"
+        "defect: ParseError: unexpected character 'é' (at position 0)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-accented-name",
+    ),
+    pytest.param(
+        # a value that starts with '-' follows '=', or argparse reads it as
+        # an option
+        ["dn", "check", "--n", "1", "--op=-D1"],
+        "command: dn check\nparams: n=1 op=-D1\nverdict: holds\ndefect: 0\n"
+        "witness: -\ntiming_ms: 0",
+        id="dn-check-leading-minus",
+    ),
 ]
 
 
@@ -391,3 +426,38 @@ def test_command_option_sets(command, capsys):
         run(command.split() + ["--help"])
     options = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
     assert options == {"--format"} | COMMAND_OPTIONS[command]
+
+
+KIT_ERRORS = {
+    c.__name__ for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.KitError)
+}
+EXIT_CODES = {"holds": 0, "refuted": 1, "error": 2}
+
+
+def assert_cli_contract(argv, text):
+    """A verdict with its exit code; an error only from the kit's own error
+    types, a parse error with a position inside the text, and never a
+    verdict for text that holds a foreign character."""
+    report = run(argv)
+    assert report.exit_code == EXIT_CODES[report.verdict]
+    if report.verdict == "error":
+        name, _, message = report.defect.partition(": ")
+        assert name in KIT_ERRORS, report.defect
+        if name == "ParseError":
+            position = int(re.fullmatch(r".* \(at position (\d+)\)", message)[1])
+            assert 0 <= position <= len(text), report.defect
+    if any(c in text for c in FOREIGN_CHARS):
+        assert report.verdict == "error"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(function_list_text())
+def test_coset_check_contract(funcs):
+    assert_cli_contract(["coset", "check", f"--funcs={funcs}"], funcs)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(operator_text(), st.integers(1, 3))
+def test_dn_check_contract(op, n):
+    assert_cli_contract(["dn", "check", "--n", str(n), f"--op={op}"], op)

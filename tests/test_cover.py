@@ -53,7 +53,7 @@ def test_componentwise_group_ops():
     p = CoverPoint(t, RatFunc.zero(ctx))
     q = CoverPoint(RatFunc.const(ctx, 1), RatFunc.const(ctx, 5))
     s = oplus(p, q)
-    assert s.base == t + 1 and s.fiber == RatFunc.const(ctx, 5)
+    assert s.base == t + RatFunc.const(ctx, 1) and s.fiber == RatFunc.const(ctx, 5)
     z = ominus(p, p)
     assert z.base.is_zero() and z.fiber.is_zero()
     half = scalar(Fraction(1, 2), CoverPoint(t.scale(2), RatFunc.const(ctx, 4)))
@@ -69,8 +69,9 @@ def test_star_shifts_fiber_only():
     assert pi(shifted) == pi(p)
     assert pi(CoverPoint(t**2, RatFunc.const(ctx, 99))) == t**2
     # transitivity witness: shifting by the negated fiber lands on fiber zero
-    q = CoverPoint(t, t + 3)
-    assert star(-(t + 3), q).fiber.is_zero()
+    three = RatFunc.const(ctx, 3)
+    q = CoverPoint(t, t + three)
+    assert star(-(t + three), q).fiber.is_zero()
 
 
 def test_pair_product_square_and_unit_and_nilpotent():
@@ -113,7 +114,7 @@ def test_fiber_principal_homogeneity():
     shift = q.fiber - p.fiber
     assert star(shift, p) == q
     # the shift is unique: star(s, p) == q forces s == shift
-    assert not star(shift + 1, p) == q
+    assert not star(shift + RatFunc.const(ctx, 1), p) == q
 
 
 def test_relation_examples_level_one():

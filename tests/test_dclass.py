@@ -233,7 +233,7 @@ def test_witness_skips_the_roots_below_the_degree():
     dx = ctx.jet(0, (0,))
     defect = RatFunc.const(ctx, 1)
     for a in range(-3, 4):
-        defect = defect * (RatFunc.var(ctx, dx) - a)
+        defect = defect * (RatFunc.var(ctx, dx) - RatFunc.const(ctx, a))
     assignment, value = find_witness(defect)
     assert assignment == {ctx.gens[0]: 0, dx: 4}
     assert value == 5040
@@ -266,13 +266,14 @@ def expanded_polarization_defect(op, n):
     """F(x1...x_{n+1}) - sum_k (-1)^(k+1) sum_{|T|=k} x_T F(x_{T^c}), term by term."""
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     xs = [ctx.gen(i) for i in range(n + 1)]
+    one = RatFunc.const(ctx, 1)
     rhs = RatFunc.zero(ctx)
     for k in range(1, n + 1):
         for chosen in combinations(range(n + 1), k):
-            x_t = math.prod(xs[i] for i in chosen)
-            rest = math.prod(xs[i] for i in range(n + 1) if i not in chosen)
+            x_t = math.prod((xs[i] for i in chosen), start=one)
+            rest = math.prod((xs[i] for i in range(n + 1) if i not in chosen), start=one)
             rhs = rhs + (x_t * apply_operator(ctx, op, rest)).scale((-1) ** (k + 1))
-    return apply_operator(ctx, op, math.prod(xs)) - rhs
+    return apply_operator(ctx, op, math.prod(xs, start=one)) - rhs
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -88,9 +88,9 @@ def test_precedence_fixed_cases():
     assert parse_ratfunc("2*t^2", reg) == (t**2).scale(2)
     assert parse_ratfunc("-t^2", reg) == -(t**2)
     assert parse_ratfunc("(-t)^2", reg) == t**2
-    assert parse_ratfunc("2+3*t", reg) == t.scale(3) + 2
+    assert parse_ratfunc("2+3*t", reg) == t.scale(3) + RatFunc.const(reg, 2)
     assert parse_ratfunc("1/2*t", reg) == t.scale(Fraction(1, 2))
-    assert parse_ratfunc("t-1-1", reg) == t - 2
+    assert parse_ratfunc("t-1-1", reg) == t - RatFunc.const(reg, 2)
 
 
 def test_ratfunc_parse_errors():
@@ -165,6 +165,19 @@ def test_digit_limit_in_both_grammars():
     assert str(err.value) == (
         f"number of {MAX_DIGITS + 1} digits > limit {MAX_DIGITS} (at position 2)"
     )
+
+
+@pytest.mark.parametrize("ch", ["²", "¹", "١", "٣", "３", "é", "ß"])
+def test_only_ascii_digits_and_names_in_both_grammars(ch):
+    # superscript, Arabic-Indic and fullwidth digits, and non-ASCII letters
+    for text, pos in [(f"D1 + D{ch}", 5), (f"{ch}*D1", 0), (f"D1{ch}", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_operator(text)
+        assert err.value.position == pos
+    for text, pos in [(f"t^{ch}", 2), (f"t{ch}", 1), (f"{ch} + t", 0)]:
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(text)
+        assert err.value.position == pos
 
 
 def test_unknown_variable_when_frozen():
