@@ -33,8 +33,8 @@ from .dclass import (
     polarization_defect,
     probe_zero,
 )
-from .jets import JetContext, Operator, apply_operator, derive
+from .jets import JetContext, Operator, apply_operator, derive, odd_component
 from .parse import parse_func_list, parse_operator, parse_ratfunc
-from .poly import MPoly, RatFunc, VarRegistry, mpoly_gcd, odd_component
+from .poly import MPoly, RatFunc, VarRegistry, mpoly_gcd
 
 __version__ = "0.1.0"

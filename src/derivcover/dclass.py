@@ -24,8 +24,8 @@ from itertools import count, product
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .jets import JetContext, Operator, apply_operator
-from .poly import RatFunc, lowest_coefficient, odd_component, univariate_at
+from .jets import JetContext, Operator, apply_operator, odd_component
+from .poly import RatFunc, lowest_coefficient, univariate_at
 
 DEFAULT_LEVEL_CAP = 6
 PROBE_POINTS = 5  # probe_zero: seeded points per identity test
@@ -142,14 +142,13 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     xs = [ctx.gen(i) for i in range(n + 1)]
     s = sum(xs, RatFunc.zero(ctx))
-    gens = ctx.gens
     factorial = math.factorial(n + 1)
-    left = odd_component(apply_operator(ctx, op, s ** (n + 1)).as_poly(), gens)
+    left = odd_component(apply_operator(ctx, op, s ** (n + 1)).as_poly())
     whole = apply_operator(ctx, op, math.prod(xs[1:], start=xs[0]))
     if left != whole.scale(factorial).as_poly():
         return False
     images = (apply_operator(ctx, op, s**i) for i in range(1, n + 1))
-    right = odd_component(level_combination(n, s, images).as_poly(), gens)
+    right = odd_component(level_combination(n, s, images).as_poly())
     right_target = (whole - _polarized(ctx, op, xs)).scale(factorial)
     return right == right_target.as_poly()
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import UnknownLetterError, WordLengthError
+from .errors import PreconditionError, UnknownLetterError, WordLengthError
 from .poly import MPoly, RatFunc, VarRegistry
 
 Word = tuple[int, ...]
@@ -42,6 +42,8 @@ class JetContext(VarRegistry):
     allocated: generators come first, then jets ordered by word length, then
     word, then generator.  Variable order, and with it every rendered
     polynomial, therefore does not depend on which symbols were reached.
+    The index alone says which generator and word a symbol stands for, so
+    the generators are fixed when the context is built.
     """
 
     def __init__(
@@ -54,10 +56,14 @@ class JetContext(VarRegistry):
         super().__init__()
         self.alphabet_size = alphabet_size
         self.max_word_len = max_word_len
-        self._gens = tuple(
-            self.add_generator(f"x{i + 1}") for i in range(num_generators)
+        self._gens = tuple(self._add(f"x{i + 1}", i) for i in range(num_generators))
+        # packed steps of _derive_poly: letter -> v -> unit(shifted symbol) - unit(v)
+        self._steps: dict[int, dict[int, int]] = {}
+
+    def add_generator(self, name: str) -> int:
+        raise PreconditionError(
+            f"a jet context takes no generator after it is built: {name!r}"
         )
-        self._shifted: dict[tuple[int, int], int] = {}
 
     @property
     def gens(self) -> tuple[int, ...]:
@@ -89,21 +95,25 @@ class JetContext(VarRegistry):
             )
         v = len(self._gens) * number + g
         if v not in self:
-            self.add_jet(f"{word_name(word)}({self.name(g)})", g, word, v)
+            self._add(f"{word_name(word)}({self.name(g)})", v)
         return v
+
+    def base_of(self, v: int) -> int:
+        """The generator symbol v belongs to; a generator belongs to itself."""
+        return v % len(self._gens)
+
+    def word_of(self, v: int) -> Word:
+        """The derivation word of symbol v, decoded from its index; () for a
+        generator."""
+        number, word = v // len(self._gens), ()
+        while number:
+            number, letter = divmod(number - 1, self.alphabet_size)
+            word = (letter,) + word
+        return word
 
     def shifted_symbol(self, letter: int, v: int) -> int:
         """Variable for one more derivation applied to v: letter·(word of v)."""
-        key = (letter, v)
-        d = self._shifted.get(key)
-        if d is None:
-            word = self.word_of(v)
-            if word is None:
-                d = self.jet(v, (letter,))
-            else:
-                d = self.jet(self.base_of(v), (letter,) + word)
-            self._shifted[key] = d
-        return d
+        return self.jet(self.base_of(v), (letter,) + self.word_of(v))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +123,7 @@ class JetContext(VarRegistry):
 def _derive_poly(ctx: JetContext, letter: int, p: MPoly) -> MPoly:
     # the term c*m contributes c*e * m/v * d for every v^e in m, with d the
     # shifted symbol of v; in packed form m/v * d is m plus unit(d) - unit(v)
-    step: dict[int, int] = {}
+    step = ctx._steps.setdefault(letter, {})
     terms: dict = {}
     get = terms.get
     for m, c in p.terms.items():
@@ -136,6 +146,28 @@ def derive(ctx: JetContext, letter: int, f: RatFunc) -> RatFunc:
     dn = _derive_poly(ctx, letter, f.num)
     dd = _derive_poly(ctx, letter, f.den)
     return RatFunc.make(dn, f.den) - f * RatFunc.make(dd, f.den)
+
+
+def odd_component(f: MPoly) -> MPoly:
+    """Sum of the terms of f whose graded degree is odd in every generator of
+    f's context.
+
+    The graded degree of a monomial in generator g counts g and every jet
+    symbol of g once per exponent unit (the Leibniz action preserves this
+    grading).  Its parity is the parity of the number of odd exponents among
+    those symbols, so one mask of their fields' lowest bits per generator
+    decides it.
+    """
+    ctx = f.reg
+    masks = [0] * len(ctx.gens)
+    for v in ctx.symbols():
+        masks[ctx.base_of(v)] |= ctx.unit(v) - 1
+    terms = {
+        m: c
+        for m, c in f.terms.items()
+        if all((m & mask).bit_count() & 1 for mask in masks)
+    }
+    return MPoly(ctx, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ it, may pass total degree MAX_DEGREE, and no literal or + - * / result may
 hold a coefficient of more than MAX_COEFF_BITS bits (in its numerator or
 denominator).  A power is refused before it is computed, when the exponent
 times the base's degree passes MAX_DEGREE or the exponent times the base's
-largest coefficient bit length passes MAX_COEFF_BITS.
+largest coefficient bit length passes MAX_COEFF_BITS.  A function list is
+one text of such functions separated by commas.
 
 In both grammars a run of digits read as a number holds at most MAX_DIGITS
-digits.
+digits, and only ASCII whitespace may stand between tokens.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _tokenize(text: str, letters: bool) -> list[_Token]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in " \t\n\r\f\v":
             i += 1
             continue
         if "0" <= ch <= "9" or (letters and ch == "D"):
@@ -278,7 +279,10 @@ def _atom(cur: _Cursor, reg, allow_new) -> RatFunc:
 def parse_func_list(text: str) -> list[RatFunc]:
     """Parse a comma-separated list of rational functions in one shared registry."""
     reg = VarRegistry()
-    parts = text.split(",")
-    if any(not p.strip() for p in parts):
-        raise ParseError("empty entry in function list", 0)
-    return [parse_ratfunc(p, reg) for p in parts]
+    cur = _Cursor(_tokenize(text, letters=False))
+    funcs = [_sum(cur, reg, True)]
+    while cur.peek().kind == ",":
+        cur.next()
+        funcs.append(_sum(cur, reg, True))
+    cur.expect("end")
+    return funcs

@@ -36,10 +36,8 @@ representation.
 Each binary operator of MPoly and RatFunc takes an operand of its own class
 only; a number enters arithmetic through const() or scale().
 
-Variables live in a VarRegistry, which assigns indices and remembers,
-for each variable, whether it is an ordinary generator or a jet symbol (the
-formal image of a derivation word applied to a generator).  Jet metadata is
-what lets odd_component grade a jet symbol by its base generator.
+Variables live in a VarRegistry, which gives each one an index, a name and
+an exponent field.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ def _quo(c: Coeff, d: Coeff) -> Coeff:
 
 
 class VarRegistry:
-    """Allocation of variables plus per-variable metadata.
+    """Allocation of variables.
 
     Polynomials hold a reference to their registry; operations on polynomials
     from different registries raise ContextMismatchError.  Registries are
@@ -101,8 +99,6 @@ class VarRegistry:
 
     def __init__(self) -> None:
         self._names: dict[int, str] = {}
-        self._base: dict[int, int | None] = {}
-        self._word: dict[int, tuple[int, ...] | None] = {}
         self._by_name: dict[str, int] = {}
         self._slots: list[int] = []  # variable index of each field, bottom up
         self._shift: dict[int, int] = {}  # variable index -> bit offset of its field
@@ -121,19 +117,12 @@ class VarRegistry:
         return sorted(self._names)
 
     def add_generator(self, name: str) -> int:
-        return self._add(name, None, None, len(self._names))
+        return self._add(name, len(self._names))
 
-    def add_jet(self, name: str, base: int, word: tuple[int, ...], index: int) -> int:
-        if not word:
-            raise ValueError("jet symbols require a nonempty word")
-        return self._add(name, base, word, index)
-
-    def _add(self, name, base, word, idx) -> int:
+    def _add(self, name: str, idx: int) -> int:
         if name in self._by_name or idx in self._names:
             raise ValueError(f"variable {name!r} or index {idx} already allocated")
         self._names[idx] = name
-        self._base[idx] = base
-        self._word[idx] = word
         self._by_name[name] = idx
         shift = (len(self._slots) + 1) * _FIELD_BITS
         self._slots.append(idx)
@@ -143,14 +132,6 @@ class VarRegistry:
 
     def name(self, v: int) -> str:
         return self._names[v]
-
-    def base_of(self, v: int) -> int | None:
-        """The generator a jet symbol belongs to; None for a generator."""
-        return self._base[v]
-
-    def word_of(self, v: int) -> tuple[int, ...] | None:
-        """The derivation word of a jet symbol; None for a generator."""
-        return self._word[v]
 
     def lookup(self, name: str) -> int | None:
         return self._by_name.get(name)
@@ -342,15 +323,14 @@ class MPoly:
         _field_guard(self.total_degree() * k, "power")
         if not self.terms:
             return self
-        result = None
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                result = base if result is None else result._times(base)
-            e >>= 1
-            if e:
-                base = base._times(base)
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return MPoly(self.reg, {m * k: c**k})
+        # repeated multiplication, which for sparse multivariate operands
+        # usually beats repeated squaring (Fateman 1974)
+        result = self
+        for _ in range(k - 1):
+            result = result._times(self)
         return result
 
     def scale(self, c) -> "MPoly":
@@ -856,29 +836,3 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()})"
-
-
-# ---------------------------------------------------------------------------
-# Parity extraction
-
-
-def odd_component(f: MPoly, vars: Iterable[int]) -> MPoly:
-    """Sum of the terms of f whose graded degree is odd in every listed generator.
-
-    The graded degree of a monomial in generator v counts v and every jet
-    symbol of v once per exponent unit (the Leibniz action preserves this
-    grading).  Its parity is the parity of the number of odd exponents among
-    those symbols, so one mask of their fields' lowest bits per generator
-    decides it.
-    """
-    reg = f.reg
-    masks = [
-        sum(1 << reg._shift[w] for w in reg.symbols() if v in (w, reg.base_of(w)))
-        for v in vars
-    ]
-    terms = {
-        m: c
-        for m, c in f.terms.items()
-        if all((m & mask).bit_count() & 1 for mask in masks)
-    }
-    return MPoly(reg, terms)

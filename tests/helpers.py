@@ -67,7 +67,7 @@ def random_ratfunc_small_den(
 # the power of a sum is where the term count grows.
 
 # characters that neither grammar accepts anywhere
-FOREIGN_CHARS = "²١éT#"
+FOREIGN_CHARS = "²١éT#\u00a0\u3000"
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """CLI surface: verdicts, exit codes, report formats, determinism."""
 
+import ast
 import json
 import re
 import subprocess
@@ -366,6 +367,44 @@ PINNED_REPORTS = [
         "witness: -\ntiming_ms: 0",
         id="coset-check-accented-name",
     ),
+    # only ASCII whitespace separates tokens
+    pytest.param(
+        ["coset", "check", "--funcs", "t\u3000+\u00a0u"],
+        "command: coset check\nparams: funcs=t\u3000+\u00a0u\nverdict: error\n"
+        "defect: ParseError: unexpected character '\\u3000' (at position 1)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-ideographic-space",
+    ),
+    pytest.param(
+        ["dn", "check", "--n", "1", "--op", "D1\u2003+\u2003D2"],
+        "command: dn check\nparams: n=1 op=D1\u2003+\u2003D2 max_n=6\nverdict: error\n"
+        "defect: ParseError: unexpected character '\\u2003' (at position 2)\n"
+        "witness: -\ntiming_ms: 0",
+        id="dn-check-em-space",
+    ),
+    # a function list is one token stream: the whole text is read before any
+    # entry is evaluated, and positions count from the start of the text
+    pytest.param(
+        ["coset", "check", "--funcs", "(0)/(0),²0"],
+        "command: coset check\nparams: funcs=(0)/(0),²0\nverdict: error\n"
+        "defect: ParseError: unexpected character '²' (at position 8)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-late-foreign-char",
+    ),
+    pytest.param(
+        ["coset", "check", "--funcs", "t,u+"],
+        "command: coset check\nparams: funcs=t,u+\nverdict: error\n"
+        "defect: ParseError: expected a value, found 'end of input' (at position 4)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-position-in-second-entry",
+    ),
+    pytest.param(
+        ["coset", "check", "--funcs", "t,,u"],
+        "command: coset check\nparams: funcs=t,,u\nverdict: error\n"
+        "defect: ParseError: expected a value, found ',' (at position 2)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-empty-entry",
+    ),
     pytest.param(
         # a value that starts with '-' follows '=', or argparse reads it as
         # an option
@@ -437,18 +476,23 @@ EXIT_CODES = {"holds": 0, "refuted": 1, "error": 2}
 
 def assert_cli_contract(argv, text):
     """A verdict with its exit code; an error only from the kit's own error
-    types, a parse error with a position inside the text, and never a
-    verdict for text that holds a foreign character."""
+    types; a parse error with a position inside the text, which for an
+    unexpected character is where that character stands; and a parse error
+    for text that holds a foreign character."""
     report = run(argv)
     assert report.exit_code == EXIT_CODES[report.verdict]
     if report.verdict == "error":
         name, _, message = report.defect.partition(": ")
         assert name in KIT_ERRORS, report.defect
         if name == "ParseError":
-            position = int(re.fullmatch(r".* \(at position (\d+)\)", message)[1])
+            what, position = re.fullmatch(r"(.*) \(at position (\d+)\)", message).groups()
+            position = int(position)
             assert 0 <= position <= len(text), report.defect
+            char = re.fullmatch(r"unexpected character (.*)", what)
+            if char:
+                assert text[position] == ast.literal_eval(char[1]), report.defect
     if any(c in text for c in FOREIGN_CHARS):
-        assert report.verdict == "error"
+        assert report.defect.startswith("ParseError: "), report.defect
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -96,7 +96,7 @@ def test_polarization_matches_diagonal():
     merged: dict = {}
     point = {}
     for v in ctx.symbols():
-        key = ctx.word_of(v)  # None for the generators themselves
+        key = ctx.word_of(v)  # () for the generators themselves
         if key not in merged:
             merged[key] = Fraction(rng.randint(-5, 5))
         point[v] = merged[key]

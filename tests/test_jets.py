@@ -6,11 +6,12 @@ from itertools import product
 
 import pytest
 
-from derivcover.errors import UnknownLetterError, WordLengthError
-from derivcover.jets import JetContext, Operator, apply_operator, derive
+from derivcover.errors import PreconditionError, UnknownLetterError, WordLengthError
+from derivcover.jets import JetContext, Operator, apply_operator, derive, odd_component
+from derivcover.parse import parse_ratfunc
 from derivcover.poly import MPoly, RatFunc
 
-from helpers import random_ratfunc_small_den
+from helpers import random_fraction, random_poly, random_ratfunc_small_den
 
 
 def test_context_symbol_counts():
@@ -65,6 +66,18 @@ def test_symbol_table_is_injective_and_complete():
             assert ctx.base_of(v) == g
             assert ctx.word_of(v) == word
     assert len(seen) + len(ctx.gens) == ctx.num_vars
+    for g in ctx.gens:
+        assert ctx.base_of(g) == g
+        assert ctx.word_of(g) == ()
+
+
+def test_context_refuses_new_generators():
+    # a generator placed after construction would take an index that a jet
+    # owns, so D1(x1) would render as that generator
+    ctx = JetContext(1, 2, 2)
+    with pytest.raises(PreconditionError):
+        parse_ratfunc("t + x1", ctx)
+    assert derive(ctx, 0, ctx.gen(0)).render() == "D1(x1)"
 
 
 def test_jet_rendering_outermost_first():
@@ -198,6 +211,43 @@ def test_word_length_guard_on_apply():
     ctx = JetContext(1, 1, 1)
     with pytest.raises(WordLengthError):
         apply_operator(ctx, Operator.word((0, 0)), ctx.gen(0))
+
+
+def test_odd_component_parity_filter():
+    ctx = JetContext(2)
+    x1, x2 = ctx.gens
+    f = MPoly.from_terms(
+        ctx, [(((x1, 2), (x2, 1)), Fraction(1)), (((x1, 1), (x2, 1)), Fraction(1))]
+    )
+    assert odd_component(f).render() == "x1*x2"
+
+
+def test_odd_component_of_square():
+    ctx = JetContext(2)
+    s = MPoly.var(ctx, ctx.gens[0]) + MPoly.var(ctx, ctx.gens[1])
+    assert odd_component(s * s).render() == "2*x1*x2"
+
+
+def test_odd_component_grades_jets_by_base_generator():
+    # x2 * D1(x1) is odd in both x1 and x2: the jet counts as degree 1 in x1
+    ctx = JetContext(2, 1, 1)
+    x1, x2 = ctx.gens
+    theta = ctx.jet(x1, (0,))
+    f = MPoly.from_terms(ctx, [(((x2, 1), (theta, 1)), Fraction(1))])
+    assert odd_component(f) == f
+
+
+def test_odd_component_idempotent_and_linear():
+    rng = random.Random(4)
+    ctx = JetContext(3)
+    for _ in range(100):
+        f = random_poly(rng, ctx, ctx.gens)
+        g = random_poly(rng, ctx, ctx.gens)
+        c = random_fraction(rng)
+        of = odd_component(f)
+        assert odd_component(of) == of
+        assert odd_component(f + g) == odd_component(f) + odd_component(g)
+        assert odd_component(f.scale(c)) == odd_component(f).scale(c)
 
 
 def test_operator_canonicalization():

@@ -167,9 +167,10 @@ def test_digit_limit_in_both_grammars():
     )
 
 
-@pytest.mark.parametrize("ch", ["²", "¹", "١", "٣", "３", "é", "ß"])
+@pytest.mark.parametrize("ch", ["²", "¹", "١", "٣", "３", "é", "ß", "\u00a0", "\u3000"])
 def test_only_ascii_digits_and_names_in_both_grammars(ch):
-    # superscript, Arabic-Indic and fullwidth digits, and non-ASCII letters
+    # superscript, Arabic-Indic and fullwidth digits, non-ASCII letters and
+    # non-ASCII spaces
     for text, pos in [(f"D1 + D{ch}", 5), (f"{ch}*D1", 0), (f"D1{ch}", 2)]:
         with pytest.raises(ParseError) as err:
             parse_operator(text)

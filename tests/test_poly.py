@@ -1,5 +1,5 @@
 """Polynomial and rational-function arithmetic: canonical form, evaluation,
-gcd reduction, parity extraction, and the degree guard."""
+gcd reduction and the degree guard."""
 
 import random
 from fractions import Fraction
@@ -24,7 +24,6 @@ from derivcover.poly import (
     div_exact,
     mono_key,
     mpoly_gcd,
-    odd_component,
 )
 
 from helpers import random_fraction, random_nonzero_poly, random_poly, random_ratfunc
@@ -177,49 +176,6 @@ def test_denominator_canonical_form():
         assert c == 1 and prim == f.den  # integer coefficients, content 1
         assert f.den.leading()[1] > 0
         assert mpoly_gcd(f.num, f.den).is_constant()
-
-
-def test_odd_component_parity_filter():
-    reg = VarRegistry()
-    x1 = reg.add_generator("x1")
-    x2 = reg.add_generator("x2")
-    f = MPoly.from_terms(
-        reg, [(((x1, 2), (x2, 1)), Fraction(1)), (((x1, 1), (x2, 1)), Fraction(1))]
-    )
-    assert odd_component(f, (x1, x2)).render() == "x1*x2"
-
-
-def test_odd_component_of_square():
-    reg = VarRegistry()
-    x1 = reg.add_generator("x1")
-    x2 = reg.add_generator("x2")
-    s = MPoly.var(reg, x1) + MPoly.var(reg, x2)
-    assert odd_component(s * s, (x1, x2)).render() == "2*x1*x2"
-
-
-def test_odd_component_grades_jets_by_base_generator():
-    # x2 * D1(x1) is odd in both x1 and x2: the jet counts as degree 1 in x1
-    ctx = JetContext(2, 1, 1)
-    x1, x2 = ctx.gens
-    theta = ctx.jet(x1, (0,))
-    f = MPoly.from_terms(ctx, [(((x2, 1), (theta, 1)), Fraction(1))])
-    assert odd_component(f, (x1, x2)) == f
-
-
-def test_odd_component_idempotent_and_linear():
-    rng = random.Random(4)
-    reg = VarRegistry()
-    vars_ = tuple(reg.add_generator(n) for n in ("a", "b", "c"))
-    for _ in range(100):
-        f = random_poly(rng, reg, vars_)
-        g = random_poly(rng, reg, vars_)
-        c = random_fraction(rng)
-        of = odd_component(f, vars_)
-        assert odd_component(of, vars_) == of
-        assert odd_component(f + g, vars_) == odd_component(f, vars_) + odd_component(
-            g, vars_
-        )
-        assert odd_component(f.scale(c), vars_) == odd_component(f, vars_).scale(c)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ matrix that sympy builds and solves.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,10 @@ def test_ring_operations_match_sympy():
         assert sympy.Poly(to_sympy(f * g), *gens) == F * G
         k = rng.randint(0, 3)
         assert sympy.Poly(to_sympy(f**k), *gens) == F**k
+    # a single term with a Fraction coefficient takes the one-term power path
+    term = MPoly.from_terms(reg, [(((vars_[0], 2), (vars_[2], 1)), Fraction(-3, 2))])
+    for k in range(1, 5):
+        assert sympy.Poly(to_sympy(term**k), *gens) == sympy.Poly(to_sympy(term), *gens) ** k
 
 
 def test_exact_division_and_gcd_match_sympy():
