@@ -8,10 +8,24 @@ minus right side) is the machine certificate.  Zero defect certifies the
 identity for every complex instantiation; a nonzero defect comes with a
 rational witness assignment, built by find_witness at small integers.
 
+The defect is computed from its closed form, not by expanding F(f^(n+1)).
+A word w of derivations acts on a power by the unshuffle rule,
+w(f^j) = sum_r (j)_r f^(j-r) sum_{pi in Pi_r(w)} prod_{B in pi} (w|_B)(f),
+where Pi_r(w) holds the set partitions of w's positions into r blocks and
+w|_B keeps the letters of block B in order.  The identity's combination of
+the falling factorials (i)_r is the (n+1)-th finite difference of a degree-r
+polynomial at 0: (n+1)! for r = n+1 and 0 for every other r >= 1.  Only the
+partitions into exactly n+1 blocks survive, so a word shorter than n+1
+contributes nothing, and a word of length n+1 one product.  The multilinear
+(polarized) form keeps the surjections of w's positions onto the n+1
+generators, by inclusion-exclusion over the generators that receive no
+letter.  An identity term c (the empty word) contributes (-1)^n c f^(n+1).
+
 Order matters for the class hierarchy: the classes grow with n, and the
 (n+1)-fold iterate of a single derivation letter separates level n+1 from
-level n.  The multilinear (polarized) form of the same identity and the
-parity-extraction argument connecting the two are implemented alongside.
+level n.  The parity-extraction check connecting the two forms expands
+F(s^(n+1)) by the Leibniz action and compares it with the closed form of the
+polarized defect.
 """
 
 from __future__ import annotations
@@ -20,12 +34,26 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
-from typing import Iterable, Sequence
+from functools import cache
+from itertools import count, permutations, product
+from typing import Iterable, Iterator
 
-from .errors import PreconditionError
-from .jets import JetContext, Operator, apply_operator, odd_component
-from .poly import RatFunc, lowest_coefficient, univariate_at
+from .errors import (
+    ContextMismatchError,
+    PreconditionError,
+    UnknownLetterError,
+    WordLengthError,
+)
+from .jets import JetContext, Operator, Word, apply_operator, odd_component, word_name
+from .poly import (
+    Coeff,
+    MPoly,
+    Monomial,
+    RatFunc,
+    fraction_sum,
+    lowest_coefficient,
+    univariate_at,
+)
 
 DEFAULT_LEVEL_CAP = 6
 PROBE_POINTS = 5  # probe_zero: seeded points per identity test
@@ -76,16 +104,94 @@ def level_combination(n: int, a: RatFunc, values: Iterable[RatFunc]) -> RatFunc:
     return total
 
 
+def _partitions(word: Word, blocks: int) -> Iterator[tuple[Word, ...]]:
+    """The set partitions of word's positions into exactly `blocks` blocks,
+    each block given as the subword it keeps, blocks ordered by their first
+    position."""
+    k = len(word)
+    parts: list[Word] = []
+
+    def place(i: int) -> Iterator[tuple[Word, ...]]:
+        if i == k:
+            yield tuple(parts)
+            return
+        letter = word[i]
+        if k - i > blocks - len(parts):  # enough positions left to open the rest
+            for j in range(len(parts)):
+                part = parts[j]
+                parts[j] = part + (letter,)
+                yield from place(i + 1)
+                parts[j] = part
+        if len(parts) < blocks:
+            parts.append((letter,))
+            yield from place(i + 1)
+            parts.pop()
+
+    return place(0) if blocks <= k else iter(())
+
+
+def _subwords(op: Operator) -> list[Word]:
+    """Every distinct nonempty subword (letters kept in order) of op's words,
+    in the (length, word) order of their jet indices.  Allocating jets in
+    that order gives the short words the low fields of a packed monomial."""
+    subs: set[Word] = set()
+    for w in op.terms:
+        own: set[Word] = {()}
+        for letter in w:
+            own |= {u + (letter,) for u in own}
+        subs |= own
+    subs.discard(())
+    return sorted(subs, key=lambda u: (len(u), u))
+
+
 def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     """Defect of the order-n identity for op at the element f.
 
-    Returns F(f^(n+1)) minus the prescribed combination of f^(n+1-i) F(f^i);
-    zero iff op satisfies the identity at f.  Linear in op.
+    F(f^(n+1)) minus the prescribed combination of f^(n+1-i) F(f^i), zero
+    iff op satisfies the identity at f.  Computed as
+    (n+1)! sum_w c_w sum_{pi in Pi_{n+1}(w)} prod_{B in pi} (w|_B)(f)
+    + (-1)^n c_() f^(n+1): the finite difference of the falling factorials
+    (i)_r in the unshuffle expansion of w(f^i) cancels every partition into
+    fewer or more than n+1 blocks (module docstring).  Each subword's image
+    is computed once per call, from the image of its suffix.  The products
+    are summed unreduced, so those over one denominator share one gcd
+    (fraction_sum).  Linear in op.  f must live in ctx and op's words must
+    fit it, also when no word has a partition into n+1 blocks.
     """
     _check_level(n)
-    lhs = apply_operator(ctx, op, f ** (n + 1))
-    images = (apply_operator(ctx, op, f**i) for i in range(1, n + 1))
-    return lhs - level_combination(n, f, images)
+    if f.reg is not ctx:
+        raise ContextMismatchError("the element does not live in this context")
+    if op.alphabet_span() > ctx.alphabet_size:
+        raise UnknownLetterError(
+            f"letter D{op.alphabet_span()} outside alphabet of size {ctx.alphabet_size}"
+        )
+    if op.max_word_len() > ctx.max_word_len:
+        longest = word_name(max(op.terms, key=len))
+        raise WordLengthError(
+            f"word {longest} exceeds max word length {ctx.max_word_len}"
+        )
+
+    @cache
+    def image(u: Word) -> RatFunc:
+        # u(f) is u's first letter applied to the image of the rest of u
+        return apply_operator(ctx, Operator.word(u[:1]), image(u[1:])) if u else f
+
+    one = MPoly.const(ctx, 1)
+
+    def fraction(c: Coeff, blocks: tuple[Word, ...]) -> tuple[MPoly, MPoly]:
+        factors = [image(u) for u in blocks]
+        num = math.prod((g.num for g in factors[1:]), start=factors[0].num.scale(c))
+        return num, math.prod((g.den for g in factors if not g.den.is_one()), start=one)
+
+    def terms() -> Iterator[tuple[MPoly, MPoly]]:
+        scale = math.factorial(n + 1)
+        for w, c in op.terms.items():
+            if not w:  # the identity has no partition; it contributes f^(n+1)
+                yield (f.num ** (n + 1)).scale(c * (-1) ** n), f.den ** (n + 1)
+            for blocks in _partitions(w, n + 1):
+                yield fraction(c * scale, blocks)
+
+    return fraction_sum(ctx, terms())
 
 
 def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
@@ -93,38 +199,51 @@ def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
 
     The generic point is universal for word-algebra operators: the defect is
     a polynomial in free jet symbols, so it vanishes identically iff the
-    identity holds for all complex numbers and all derivations.
+    identity holds for all complex numbers and all derivations.  The jet of
+    every subword of op's words is allocated, as the Leibniz action on
+    F(f^(n+1)) reaches them all, so a witness assigns every jet that any
+    term of that expansion reads.
     """
     _check_level(n)
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
+    for u in _subwords(op):
+        ctx.jet(0, u)
     return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)))
-
-
-def _polarized(ctx: JetContext, op: Operator, xs: Sequence[RatFunc]) -> RatFunc:
-    """F(x1...x_{n+1}) minus the multilinear combination
-    sum_k (-1)^(k+1) sum_{|T|=k} x_T F(x_rest), as one signed sum over the
-    proper subsets T of the generators: sum_T (-1)^|T| x_T F(x_rest)."""
-    # products[mask] multiplies the xs[i] whose bit i is set in mask
-    products = [RatFunc.const(ctx, 1)]
-    for x in xs:
-        products += [p * x for p in products]
-    everything = len(products) - 1
-    total = RatFunc.zero(ctx)
-    for mask in range(everything):  # the proper subsets T
-        term = products[mask] * apply_operator(ctx, op, products[everything ^ mask])
-        total = total - term if mask.bit_count() % 2 else total + term
-    return total
 
 
 def polarization_defect(op: Operator, n: int) -> RatFunc:
     """Defect of the multilinear identity for op at n+1 fresh generators.
 
-    Returns F(x1...x_{n+1}) minus the multilinear combination; zero iff the
-    polarized identity holds at level n.
+    F(x1...x_{n+1}) minus the multilinear combination, zero iff the
+    polarized identity holds at level n.  Computed as
+    sum_w c_w sum_phi prod_t (w|_{phi^-1(t)})(x_t) + (-1)^n c_() x1...x_{n+1},
+    with phi running over the surjections of w's positions onto the
+    generators: w(x_S) spreads w's letters over the generators of S, and the
+    signed sum over the S that contain a map's image vanishes unless that
+    image is every generator (inclusion-exclusion).  A surjection is a
+    partition into n+1 blocks with the blocks dealt to the generators in
+    some order, and each factor is one jet symbol, so every term is a
+    squarefree monomial in the jets.  The jet of every subword is allocated
+    at every generator, as in is_in_dn.
     """
     _check_level(n)
-    ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
-    return _polarized(ctx, op, [ctx.gen(i) for i in range(n + 1)])
+    return _polarization(JetContext(n + 1, op.alphabet_span(), op.max_word_len()), op, n)
+
+
+def _polarization(ctx: JetContext, op: Operator, n: int) -> RatFunc:
+    """polarization_defect in ctx, a context of n+1 generators."""
+    gens = range(n + 1)
+    jet = {(g, u): ctx.jet(g, u) for u in _subwords(op) for g in gens}
+
+    def terms() -> Iterator[tuple[Monomial, Coeff]]:
+        if () in op.terms:
+            yield tuple((g, 1) for g in ctx.gens), op.terms[()] * (-1) ** n
+        for w, c in op.terms.items():
+            for blocks in _partitions(w, n + 1):
+                for order in permutations(gens):
+                    yield tuple((jet[g, u], 1) for g, u in zip(order, blocks)), c
+
+    return RatFunc.from_poly(MPoly.from_terms(ctx, terms()))
 
 
 def odd_extraction_check(op: Operator, n: int) -> bool:
@@ -133,7 +252,10 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     With s = x1+...+x_{n+1}: the part of F(s^(n+1)) odd in every generator
     must be (n+1)! F(x1...x_{n+1}), and the same extraction applied to the
     right side of the order-n identity must give (n+1)! times the multilinear
-    combination.  Requires op to satisfy the order-n identity.
+    combination.  Requires op to satisfy the order-n identity.  Both sides
+    are expanded by the Leibniz action, and the multilinear combination is
+    taken as F(x1...x_{n+1}) minus the closed form of polarization_defect,
+    so the check also ties that closed form to the generic expansion.
     """
     if not is_in_dn(op, n).in_dn:
         raise PreconditionError(
@@ -149,7 +271,7 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
         return False
     images = (apply_operator(ctx, op, s**i) for i in range(1, n + 1))
     right = odd_component(level_combination(n, s, images).as_poly())
-    right_target = (whole - _polarized(ctx, op, xs)).scale(factorial)
+    right_target = (whole - _polarization(ctx, op, n)).scale(factorial)
     return right == right_target.as_poly()
 
 

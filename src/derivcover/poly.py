@@ -836,3 +836,27 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()})"
+
+
+def fraction_sum(reg: VarRegistry, pairs: Iterable[tuple[MPoly, MPoly]]) -> RatFunc:
+    """Sum of the fractions num/den over reg, given as pairs that need not be
+    reduced.
+
+    The numerators over one denominator are added into one accumulator and
+    reduced once, so many fractions over a shared denominator cost their
+    total size and one gcd, not one copy of the running total and one gcd
+    each.  The sums over distinct denominators are added pairwise as a
+    balanced tree.
+    """
+    groups: dict[frozenset, tuple[MPoly, dict[int, Coeff]]] = {}
+    for num, den in pairs:
+        if num.reg is not reg or den.reg is not reg:
+            raise ContextMismatchError("summands belong to different registries")
+        terms = groups.setdefault(frozenset(den.terms.items()), (den, {}))[1]
+        get = terms.get
+        for m, c in num.terms.items():
+            terms[m] = get(m, 0) + c
+    sums = [RatFunc.make(MPoly.from_packed(reg, t), den) for den, t in groups.values()]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1 :]
+    return sums[0] if sums else RatFunc.zero(reg)

@@ -19,18 +19,26 @@ from itertools import combinations
 
 import pytest
 
+from derivcover import cli
 from derivcover.dclass import (
     default_test_set,
     dn_defect,
     find_witness,
     inductive_subsum,
     is_in_dn,
+    level_combination,
     odd_extraction_check,
     polarization_defect,
     probe_zero,
 )
-from derivcover.errors import PreconditionError
+from derivcover.errors import (
+    ContextMismatchError,
+    PreconditionError,
+    UnknownLetterError,
+    WordLengthError,
+)
 from derivcover.jets import JetContext, Operator, apply_operator
+from derivcover.parse import parse_ratfunc
 from derivcover.poly import MPoly, RatFunc
 
 
@@ -262,9 +270,35 @@ def test_level_must_be_positive():
         polarization_defect(D, 0)
 
 
-def expanded_polarization_defect(op, n):
+# Operators with an identity (empty word) term, which act as c*f on f.
+IDENTITY_TERM_OPS = [
+    Operator.from_terms([((), Fraction(3)), ((0, 1), Fraction(-1, 2))]),
+    Operator.from_terms([((), Fraction(1)), ((0,), Fraction(2))]),
+    Operator.from_terms([((), Fraction(-2, 3)), ((0, 0, 0), Fraction(1)), ((2, 0, 2), Fraction(5))]),
+]
+
+ELEMENTS = ["x1", "(x1^2+x1)/(x1-2)", "1/(x1^2+1)"]
+
+
+def expanded_dn_defect(ctx, op, n, f, cache=None):
+    """F(f^(n+1)) - sum_{i=1..n} binom(n+1, i) (-1)^(n-i) f^(n+1-i) F(f^i),
+    with every F(f^i) expanded by the Leibniz action, word by word.  `cache`
+    keeps each word's image of each power across calls on one f."""
+    cache = {} if cache is None else cache
+
+    def image(i):
+        total = RatFunc.zero(ctx)
+        for w, c in op.terms.items():
+            if (w, i) not in cache:
+                cache[w, i] = apply_operator(ctx, Operator.word(w), f**i)
+            total = total + cache[w, i].scale(c)
+        return total
+
+    return image(n + 1) - level_combination(n, f, map(image, range(1, n + 1)))
+
+
+def expanded_polarization_defect(ctx, op, n):
     """F(x1...x_{n+1}) - sum_k (-1)^(k+1) sum_{|T|=k} x_T F(x_{T^c}), term by term."""
-    ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     xs = [ctx.gen(i) for i in range(n + 1)]
     one = RatFunc.const(ctx, 1)
     rhs = RatFunc.zero(ctx)
@@ -276,9 +310,90 @@ def expanded_polarization_defect(op, n):
     return apply_operator(ctx, op, math.prod(xs, start=one)) - rhs
 
 
+def _distinct_ops(seeds):
+    ops = {}
+    for seed in seeds:
+        for op in default_test_set(seed=seed):
+            ops.setdefault(op.render(), op)
+    for op in IDENTITY_TERM_OPS:
+        ops.setdefault(op.render(), op)
+    return list(ops.values())
+
+
+@pytest.mark.parametrize("element", ELEMENTS)
+def test_dn_defect_matches_the_expansion(element):
+    # the operators of default_test_set at seeds 0-2, each once, and the
+    # identity-term operators, in one context: a symbol's name and its place
+    # in the variable order do not depend on the context's bounds
+    ctx = JetContext(1, 3, 3)
+    f = parse_ratfunc(element, ctx, allow_new_vars=False)
+    cache = {}
+    for op in _distinct_ops((0, 1, 2)):
+        for n in (1, 2, 3, 4):
+            expected = expanded_dn_defect(ctx, op, n, f, cache).render()
+            assert dn_defect(ctx, op, n, f).render() == expected, (op.render(), n)
+
+
+def _allocated(ctx):
+    return [ctx.name(v) for v in ctx.symbols()]
+
+
+def test_witness_assigns_every_jet_the_expansion_allocates():
+    # repeated letters (D1.D1.D1, D3.D1.D3) reach each subword more than once
+    ops = _distinct_ops((0, 3)) + [
+        Operator.from_terms([((0, 0, 0), Fraction(1)), ((2, 0, 2), Fraction(-2))]),
+        Operator.from_terms([((2, 0, 2, 0), Fraction(1)), ((1,), Fraction(1, 2))]),
+    ]
+    refuted = 0
+    for op in ops:
+        for n in (1, 2, 3):
+            ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
+            expanded_dn_defect(ctx, op, n, ctx.gen(0))
+            verdict = is_in_dn(op, n)
+            assert _allocated(verdict.defect.reg) == _allocated(ctx), (op.render(), n)
+            if verdict.witness is not None:
+                refuted += 1
+                assignment, _ = verdict.witness
+                names = [ctx.name(v) for v in sorted(assignment)]
+                assert names == _allocated(ctx), (op.render(), n)
+            pctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
+            expanded_polarization_defect(pctx, op, n)
+            polar = polarization_defect(op, n).reg
+            assert _allocated(polar) == _allocated(pctx), (op.render(), n)
+    assert refuted > 20
+
+
+def test_distinct_letter_word_closed_form():
+    # one partition into k blocks, all singletons: the defect at level k-1 is
+    # k! times the product of the first derivatives, and level k holds
+    rng = random.Random(13)
+    for k in range(2, 11):
+        op = Operator.word(rng.sample(range(k), k))
+        assert is_in_dn(op, k).in_dn
+        factors = "*".join(f"D{i}(x1)" for i in range(1, k + 1))
+        assert is_in_dn(op, k - 1).defect.render() == f"{math.factorial(k)}*{factors}"
+    text = ".".join(f"D{i}" for i in range(1, 11))
+    report = cli.run(["dn", "check", "--n", "10", "--max-n", "10", "--op", text])
+    assert report.verdict == "holds"
+
+
+def test_dn_defect_checks_its_inputs_without_a_partition():
+    # level 3 is above every word length here, so no word has a partition
+    # into 4 blocks; the inputs are still checked against the context
+    ctx = JetContext(1, 2, 2)
+    with pytest.raises(ContextMismatchError):
+        dn_defect(ctx, DD, 3, JetContext(1, 2, 2).gen(0))
+    with pytest.raises(WordLengthError):
+        dn_defect(ctx, Operator.word((0, 1, 0)), 3, ctx.gen(0))
+    with pytest.raises(UnknownLetterError):
+        dn_defect(ctx, Operator.word((2,)), 3, ctx.gen(0))
+    assert dn_defect(ctx, Operator.word((1, 0)), 3, ctx.gen(0)).is_zero()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_polarization_defect_matches_the_expansion(seed):
-    for op in default_test_set(seed=seed):
+    for op in default_test_set(seed=seed) + IDENTITY_TERM_OPS:
         for n in (1, 2, 3):
-            expected = expanded_polarization_defect(op, n).render()
+            ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
+            expected = expanded_polarization_defect(ctx, op, n).render()
             assert polarization_defect(op, n).render() == expected, (op.render(), n)
