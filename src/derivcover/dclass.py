@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -51,8 +52,6 @@ from .poly import (
     Monomial,
     RatFunc,
     fraction_sum,
-    lowest_coefficient,
-    univariate_at,
 )
 
 DEFAULT_LEVEL_CAP = 6
@@ -301,29 +300,77 @@ def find_witness(defect: RatFunc) -> tuple[Assignment, Fraction]:
     """A point of every allocated symbol where a nonzero defect is defined
     and nonzero, with the defect's value there.
 
-    Built for P = num * den, without forming the product: take the symbol
-    v of highest index in P, write P = sum_k c_k v^k, build a point for the
-    lowest nonzero c_k with every other symbol at 0, and give v the first of
-    0, 1, ..., deg_v P where P is nonzero.  There P is a nonzero polynomial
-    in v of degree at most deg_v P, so one of those values is not a root
-    (the grid argument behind the Combinatorial Nullstellensatz).
+    Built for P = num * den, without forming the product.  Order each
+    factor's monomials lexicographically, comparing exponents from the
+    symbol of highest index down, and let low be the lowest.  For a symbol
+    v, let f_v be the factor's terms that agree with low above v, with the
+    symbols above v set aside: the factor's lowest coefficient in each
+    symbol above v in turn, from the highest down.  The symbols get values
+    from the lowest index up, so that every f_v is nonzero at the values
+    given so far.  Unless v divides low, f_v at v = 0 is f_u for the symbol
+    u just below v (below every symbol, low's coefficient), so a symbol
+    that divides no factor's low gets 0 without any evaluation.  Any other
+    symbol gets the first of 1, 2, ..., deg_v P where every f_v is nonzero.
+    Each f_v is a nonzero polynomial in v there, and 0 is a root of their
+    product, which has degree at most deg_v P; so one of those values is
+    not a root (the grid argument behind the Combinatorial Nullstellensatz).
+    Each term is read once, and the search at v evaluates only the terms
+    that agree with low above v.
     """
     if defect.is_zero():
         raise PreconditionError("a zero defect has no witness")
-    chain = []  # (v, the factors v was taken from), outermost first
     factors = [defect.num] if defect.den.is_one() else [defect.num, defect.den]
-    while variables := set().union(*(f.variables() for f in factors)):
-        v = max(variables)
-        chain.append((v, factors))
-        factors = [lowest_coefficient(f, v) for f in factors]
-    values: dict[int, int] = {}  # a symbol without a value is at 0
-    for v, factors in reversed(chain):
-        rows = [univariate_at(f, v, values) for f in factors]
+    searched: set[int] = set()
+    parted = []  # each factor's terms as (parting, monomial, coefficient)
+    for f in factors:
+        # (symbol, exponent) pairs from the highest symbol down, so that
+        # comparing the tuples is the lexicographic order
+        terms = [
+            (tuple(sorted(f.reg.exponents(m), reverse=True)), c) for m, c in f.terms.items()
+        ]
+        low = min(key for key, _ in terms)
+        searched.update(v for v, _ in low)
+        terms = [(_parting(key, low), key, c) for key, c in terms]
+        parted.append(sorted(terms, key=itemgetter(0)))
+    values: dict[int, int] = {}  # the nonzero values; every other symbol is at 0
+    for v in sorted(searched):
+        rows = [_row(terms, v, values) for terms in parted]
         values[v] = next(
-            t for t in count() if all(sum(c * t**e for e, c in r.items()) for r in rows)
+            t for t in count(1) if all(sum(c * t**e for e, c in r.items()) for r in rows)
         )
     point = {v: Fraction(values.get(v, 0)) for v in defect.reg.symbols()}
     return point, defect.evaluate(point)
+
+
+def _parting(key: tuple, low: tuple) -> int:
+    """The highest symbol where the monomial key differs from low, or -1."""
+    for a, b in zip(key, low):
+        if a != b:
+            return max(a[0], b[0])
+    rest = key[len(low) :] or low[len(key) :]
+    return rest[0][0] if rest else -1
+
+
+def _row(terms: list, v: int, values: dict[int, int]) -> dict[int, Coeff]:
+    """f_v of find_witness as a polynomial in v alone (exponent ->
+    coefficient), with the symbols below v at their values or at 0; terms
+    are one factor's, sorted by their parting symbol."""
+    out: dict[int, Coeff] = {}
+    for parting, key, c in terms:
+        if parting > v:
+            break
+        k = 0
+        for u, e in key:
+            if u == v:
+                k = e
+            elif u < v:
+                x = values.get(u)
+                if x is None:
+                    break
+                c *= x**e
+        else:
+            out[k] = out.get(k, 0) + c
+    return out
 
 
 def probe_zero(f: RatFunc, *, seed: int = 0) -> bool:

@@ -14,6 +14,14 @@ Jet symbols are allocated when first asked for, as differential algebra
 treats the derivatives of an indeterminate, so a context holds only the
 symbols the Leibniz action has reached.
 
+No nonconstant polynomial p divides its own image D(p) under a letter D.
+D sends a symbol v of p with the longest word to a symbol D(v) that p does
+not contain, and D(p) is linear in D(v) with the coefficient dp/dv.  So p
+dividing D(p) would divide dp/dv, which is nonzero and of lower degree in v
+than p.  Every irreducible p is thus normal in the sense of Hermite
+reduction (Bronstein, Symbolic Integration I, ch. 5), which lets derive
+reduce a fraction's image with one gcd.
+
 Words are tuples of 0-based letter indices written outermost-first:
 (0, 1) is D1∘D2, which applies D2 first.  Jet symbols render accordingly,
 e.g. `D2.D1(x3)`.
@@ -24,8 +32,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import PreconditionError, UnknownLetterError, WordLengthError
-from .poly import MPoly, RatFunc, VarRegistry
+from .errors import (
+    ContextMismatchError,
+    PreconditionError,
+    UnknownLetterError,
+    WordLengthError,
+)
+from .poly import MPoly, RatFunc, VarRegistry, div_exact, mpoly_gcd
 
 Word = tuple[int, ...]
 
@@ -137,15 +150,26 @@ def _derive_poly(ctx: JetContext, letter: int, p: MPoly) -> MPoly:
 
 
 def derive(ctx: JetContext, letter: int, f: RatFunc) -> RatFunc:
-    """Apply one derivation letter to f (Leibniz rule, quotient rule on fractions)."""
+    """Apply one derivation letter D to f (Leibniz rule, quotient rule on
+    fractions).
+
+    A fraction N/den is reduced by the one gcd g = gcd(den, D(den)): with
+    r = den/g the result is (D(N)·r − N·D(den)/g) / (den·r), already in
+    lowest terms.  For an irreducible factor p of den with multiplicity e,
+    p does not divide D(p) (module docstring), so p divides D(den) exactly
+    e − 1 times, g = prod p^(e−1) and r = prod p.  Modulo p the numerator
+    is −N·e·D(p)·prod_{q != p} q, which is nonzero, so it shares no factor
+    with den·r.
+    """
     if f.reg is not ctx:
-        raise ValueError("rational function does not live in this context")
+        raise ContextMismatchError("rational function does not live in this context")
     if f.den.is_one():
         return RatFunc(_derive_poly(ctx, letter, f.num), f.den)
-    # quotient rule as d(num)/den - f * d(den)/den: every gcd stays input-sized
-    dn = _derive_poly(ctx, letter, f.num)
     dd = _derive_poly(ctx, letter, f.den)
-    return RatFunc.make(dn, f.den) - f * RatFunc.make(dd, f.den)
+    g = mpoly_gcd(f.den, dd)
+    r = div_exact(f.den, g)
+    num = _derive_poly(ctx, letter, f.num) * r - f.num * div_exact(dd, g)
+    return RatFunc._normalized(num, f.den * r)
 
 
 def odd_component(f: MPoly) -> MPoly:

@@ -494,29 +494,6 @@ def _coeff_in(f: MPoly, v: int, k: int) -> MPoly:
     )
 
 
-def lowest_coefficient(f: MPoly, v: int) -> MPoly:
-    """Coefficient of the lowest power of v in f, as a polynomial in the
-    remaining variables; nonzero whenever f is."""
-    shift = f.reg._shift[v]
-    return _coeff_in(f, v, min(((m >> shift) & _MAX_EXP for m in f.terms), default=0))
-
-
-def univariate_at(f: MPoly, v: int, values: Mapping[int, Coeff]) -> dict[int, Coeff]:
-    """f as a polynomial in v alone (exponent -> coefficient), with every
-    other variable at its value in values, or at 0 where values has none."""
-    shifts = f.reg._shift
-    at = [(shifts[w], x) for w, x in values.items() if x and w != v]
-    kept = _MAX_EXP | _MAX_EXP << shifts[v] | sum(_MAX_EXP << s for s, _ in at)
-    out: dict[int, Coeff] = {}
-    for m, c in f.terms.items():
-        if not m & ~kept:  # no variable at 0
-            for s, x in at:
-                c *= x ** ((m >> s) & _MAX_EXP)
-            e = (m >> shifts[v]) & _MAX_EXP
-            out[e] = out.get(e, 0) + c
-    return out
-
-
 def _var_power(reg: VarRegistry, v: int, k: int) -> MPoly:
     _field_guard(k, "power")
     return MPoly(reg, {(k << reg._shift[v]) + k: 1})

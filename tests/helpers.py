@@ -61,6 +61,20 @@ def random_ratfunc_small_den(
     return RatFunc.make(num, den)
 
 
+def random_ratfunc_factored_den(rng, reg, vars_, **kw) -> RatFunc:
+    """Random fraction whose denominator is a product of one or two random
+    binomials, each squared half the time, so that repeated and
+    multivariate factors occur."""
+    num = random_nonzero_poly(rng, reg, vars_, **kw)
+    den = MPoly.const(reg, 1)
+    for _ in range(rng.randint(1, 2)):
+        factor = MPoly.const(reg, 0)
+        while len(factor.terms) != 2:
+            factor = random_poly(rng, reg, vars_, max_terms=2, max_exp=1, span=3)
+        den = den * factor ** rng.randint(1, 2)
+    return RatFunc.make(num, den)
+
+
 # ---------------------------------------------------------------------------
 # Grammar-aware text strategies for the CLI.  Sizes stay small, so that every
 # example ends in milliseconds: a power applies to a variable alone, because

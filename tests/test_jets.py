@@ -6,10 +6,15 @@ from itertools import product
 
 import pytest
 
-from derivcover.errors import PreconditionError, UnknownLetterError, WordLengthError
+from derivcover.errors import (
+    ContextMismatchError,
+    PreconditionError,
+    UnknownLetterError,
+    WordLengthError,
+)
 from derivcover.jets import JetContext, Operator, apply_operator, derive, odd_component
 from derivcover.parse import parse_ratfunc
-from derivcover.poly import MPoly, RatFunc
+from derivcover.poly import MPoly, RatFunc, content_and_primitive, mpoly_gcd
 
 from helpers import random_fraction, random_poly, random_ratfunc_small_den
 
@@ -105,6 +110,46 @@ def test_derive_reciprocal_quotient_rule():
     x = ctx.gen(0)
     dx = RatFunc.var(ctx, ctx.jet(0, (0,)))
     assert derive(ctx, 0, RatFunc.const(ctx, 1) / x) == -dx / (x * x)
+
+
+# numerators over denominators with repeated and multivariate factors
+FRACTIONS = [
+    "(x1+x2)/((x1-x2)^2*(x1+1))",
+    "(x1^2+x2)/(x1*x2+x1+1)",
+    "x2/((x1^2+1)^2*(x1-3))",
+    "(x1*x2-1)/(x1^3*(x2+2)^2)",
+]
+
+
+@pytest.mark.parametrize("text", FRACTIONS)
+def test_derive_fraction_is_the_reduced_quotient_rule(text):
+    # every word of length 1 and 2 over two letters: each step must give the
+    # reduced form of (D(N)*den - N*D(den)) / den^2, and that form itself
+    ctx = JetContext(2, 2, 2)
+    start = parse_ratfunc(text, ctx, allow_new_vars=False)
+    one = MPoly.const(ctx, 1)
+
+    def poly_image(letter, p):
+        return derive(ctx, letter, RatFunc.from_poly(p)).as_poly()
+
+    for word in [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]:
+        f = start
+        for letter in reversed(word):
+            num, den = f.num, f.den
+            f = derive(ctx, letter, f)
+            quotient_rule = poly_image(letter, num) * den - num * poly_image(letter, den)
+            assert f == RatFunc.make(quotient_rule, den * den), (text, word)
+            assert mpoly_gcd(f.num, f.den) == one
+            content, primitive = content_and_primitive(f.den)
+            assert content == 1 and primitive == f.den
+
+
+def test_derive_refuses_a_fraction_from_another_context():
+    ctx = JetContext(1, 1, 1)
+    other = JetContext(1, 1, 1)
+    for f in (other.gen(0), parse_ratfunc("1/(x1+1)", other, allow_new_vars=False)):
+        with pytest.raises(ContextMismatchError):
+            derive(ctx, 0, f)
 
 
 def test_unknown_letter_rejected():

@@ -29,7 +29,12 @@ from derivcover.poly import (  # noqa: E402
 )
 from derivcover.suite import _has_relation  # noqa: E402
 
-from helpers import random_nonzero_poly, random_poly, random_ratfunc_small_den  # noqa: E402
+from helpers import (  # noqa: E402
+    random_nonzero_poly,
+    random_poly,
+    random_ratfunc_factored_den,
+    random_ratfunc_small_den,
+)
 
 
 def to_sympy(p: MPoly) -> "sympy.Expr":
@@ -164,6 +169,15 @@ def test_derive_matches_sympy_leibniz_rule():
         ours = derive(ctx, second, derive(ctx, first, f))
         theirs = sympy_derive(second, sympy_derive(first, ratfunc_to_sympy(f)))
         assert sympy.cancel(ratfunc_to_sympy(ours) - theirs) == 0
+    # denominators with repeated and multivariate factors, one letter each,
+    # as sympy's cancel of a second image of these takes about 0.3 s
+    rng = random.Random(15)
+    for _ in range(4):
+        ctx = JetContext(2, 2, 1)
+        f = random_ratfunc_factored_den(rng, ctx, ctx.gens, max_terms=3, max_exp=2, span=4)
+        letter = rng.randrange(2)
+        theirs = sympy_derive(letter, ratfunc_to_sympy(f))
+        assert sympy.cancel(ratfunc_to_sympy(derive(ctx, letter, f)) - theirs) == 0
 
 
 # Terms of the tuples below: polynomials in t, or partial fractions in t.
