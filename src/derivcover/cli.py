@@ -257,7 +257,7 @@ GROUP_HELP = {
 }
 
 OPTIONS = {
-    "n": {"type": int, "required": True},
+    "n": {"type": int, "required": True, "help": "class level, 1 or more"},
     "op": {"required": True, "help": "operator expression, e.g. 'D1.D1'"},
     "funcs": {
         "required": True,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dclass import MembershipVerdict, level_combination
+from .dclass import MembershipVerdict, _check_level, level_combination
 from .errors import ArityError, ContextMismatchError
 from .jets import JetContext, Operator, apply_operator
 from .poly import RatFunc
@@ -40,11 +40,6 @@ def _check_pair(p: CoverPoint, q: CoverPoint) -> None:
         raise ContextMismatchError("points belong to different contexts")
 
 
-def _check_scalar_ctx(beta: RatFunc, p: CoverPoint) -> None:
-    if beta.reg is not p.base.reg:
-        raise ContextMismatchError("field element and point contexts differ")
-
-
 def oplus(p: CoverPoint, q: CoverPoint) -> CoverPoint:
     _check_pair(p, q)
     return CoverPoint(p.base + q.base, p.fiber + q.fiber)
@@ -63,7 +58,8 @@ def scalar(c: Fraction, p: CoverPoint) -> CoverPoint:
 
 def star(beta: RatFunc, p: CoverPoint) -> CoverPoint:
     """Shift the fiber by a field element; the base is untouched."""
-    _check_scalar_ctx(beta, p)
+    if beta.reg is not p.base.reg:
+        raise ContextMismatchError("field element and point contexts differ")
     return CoverPoint(p.base, p.fiber + beta)
 
 
@@ -90,10 +86,16 @@ def otimes_power(p: CoverPoint, k: int) -> CoverPoint:
     return out
 
 
+def _fiber_defect(n: int, points: list[CoverPoint]) -> RatFunc:
+    """Last fiber minus the level-n combination of the earlier fibers, with
+    the first base as alpha: zero exactly when the fiber equation holds."""
+    expected = level_combination(n, points[0].base, [p.fiber for p in points[:n]])
+    return points[n].fiber - expected
+
+
 def rn_holds(n: int, points: list[CoverPoint]) -> bool:
     """Exact check of the level-n relation on a tuple of n+1 points."""
-    if n < 1:
-        raise ValueError("cover level must be >= 1")
+    _check_level(n)
     if len(points) != n + 1:
         raise ArityError(f"relation takes {n + 1} points, got {len(points)}")
     for p in points[1:]:
@@ -102,8 +104,7 @@ def rn_holds(n: int, points: list[CoverPoint]) -> bool:
     for i, p in enumerate(points, start=1):
         if p.base != alpha**i:
             return False
-    expected = level_combination(n, alpha, [p.fiber for p in points[:n]])
-    return points[n].fiber == expected
+    return _fiber_defect(n, points).is_zero()
 
 
 def sigma(op: Operator, p: CoverPoint) -> CoverPoint:
@@ -118,6 +119,7 @@ def sigma(op: Operator, p: CoverPoint) -> CoverPoint:
 def generic_rn_point(op: Operator, n: int) -> list[CoverPoint]:
     """Generic tuple satisfying the level-n relation: base generator alpha,
     free fiber generators for the first n points, last fiber forced."""
+    _check_level(n)
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     alpha = ctx.gen(0)
     fibers = [ctx.gen(i) for i in range(1, n + 1)]
@@ -134,9 +136,7 @@ def rn_preservation(op: Operator, n: int) -> MembershipVerdict:
     defect is equivalent to membership in the order-n derivation class.
     """
     moved = [sigma(op, p) for p in generic_rn_point(op, n)]
-    alpha = moved[0].base
-    expected = level_combination(n, alpha, [p.fiber for p in moved[:n]])
-    return MembershipVerdict.of(moved[n].fiber - expected)
+    return MembershipVerdict.of(_fiber_defect(n, moved))
 
 
 def psi_defines_otimes() -> bool:
@@ -161,8 +161,7 @@ def rn_reduct_check(n: int) -> bool:
     For n = 1 the combination is an empty sum, so the last shift must be 0
     and the relation degenerates to `second point = first point squared`.
     """
-    if n < 1:
-        raise ValueError("level must be >= 1")
+    _check_level(n)
 
     def shift_constraint(alpha: RatFunc, eps: dict[int, RatFunc]) -> RatFunc:
         # the first point is unshifted: its term of the combination is zero

@@ -215,10 +215,8 @@ class Operator:
         return cls({})
 
     @classmethod
-    def word(cls, letters: Iterable[int], coeff=1) -> "Operator":
-        c = Fraction(coeff)
-        w = tuple(letters)
-        return cls({} if c == 0 else {w: c})
+    def word(cls, letters: Iterable[int]) -> "Operator":
+        return cls({tuple(letters): Fraction(1)})
 
     @classmethod
     def letter(cls, index: int) -> "Operator":
@@ -252,21 +250,6 @@ class Operator:
                 if letter > top:
                     top = letter
         return top + 1
-
-    def __add__(self, other) -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return Operator.from_terms([*self.terms.items(), *other.terms.items()])
-
-    def __mul__(self, c) -> "Operator":
-        if not isinstance(c, (int, Fraction)):
-            return NotImplemented
-        c = Fraction(c)
-        if c == 0:
-            return Operator.zero()
-        return Operator({w: co * c for w, co in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Operator):
@@ -305,16 +288,13 @@ class Operator:
         return f"Operator({self.render()})"
 
 
-def apply_word(ctx: JetContext, word: Word, f: RatFunc) -> RatFunc:
-    """Apply a composition of letters, rightmost letter first."""
-    for letter in reversed(word):
-        f = derive(ctx, letter, f)
-    return f
-
-
 def apply_operator(ctx: JetContext, op: Operator, f: RatFunc) -> RatFunc:
-    """Apply a linear combination of words to f; additive and linear in both slots."""
+    """Apply a linear combination of words to f; additive and linear in both
+    slots.  A word applies its rightmost letter first."""
     total = RatFunc.zero(ctx)
     for w in op.words():
-        total = total + apply_word(ctx, w, f).scale(op.terms[w])
+        image = f
+        for letter in reversed(w):
+            image = derive(ctx, letter, image)
+        total = total + image.scale(op.terms[w])
     return total

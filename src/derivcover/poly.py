@@ -18,10 +18,10 @@ last-allocated variable most significant; it is admissible, so exact division
 runs in it, and the quotient does not depend on the order.  Every order a
 caller can see is graded lexicographic by variable index (higher total degree
 first, ties broken by comparing exponents variable by variable in index
-order), computed from the unpacked exponents: leading(), sorted_terms(),
-render() and mono_key().  At the boundary a monomial is a tuple of
-(variable index, exponent) pairs sorted by index, with all exponents > 0; the
-empty tuple is the constant monomial.  from_terms() packs such tuples.
+order), computed from the unpacked exponents: sorted_terms(), render() and
+mono_key().  At the boundary a monomial is a tuple of (variable index,
+exponent) pairs sorted by index, with all exponents > 0; the empty tuple is
+the constant monomial.  from_terms() packs such tuples.
 
 No field may overflow.  A monomial whose total degree exceeds 2**15 - 1 is
 refused with DegreeGuardError wherever it could arise: when packing, in every
@@ -247,13 +247,6 @@ class MPoly:
         unpack = self.reg.unpack
         return min(tied, key=lambda m: mono_key(unpack(m)))
 
-    def leading(self) -> tuple[Monomial, Fraction]:
-        """Leading term in graded-lex order; requires a nonzero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = self._lead()
-        return self.reg.unpack(m), Fraction(self.terms[m])
-
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """(tuple monomial, coefficient) pairs in descending graded-lex order."""
         unpack = self.reg.unpack
@@ -399,22 +392,13 @@ class MPoly:
 # Content, exact division, gcd
 
 
-def content_and_primitive(f: MPoly) -> tuple[Fraction, MPoly]:
-    """Write f = c * p with p having coprime integer coefficients and a
-    positive leading coefficient.  f = 0 returns (0, 0)."""
-    if f.is_zero():
-        return Fraction(0), f
-    num, den, p = _primitive(f)
-    return Fraction(num, den), p
-
-
 def primitive_part(f: MPoly) -> MPoly:
     return _primitive(f)[2] if f.terms else f
 
 
 def _primitive(f: MPoly) -> tuple[int, int, MPoly]:
-    """(num, den, p) with f = num/den * p and p as in content_and_primitive;
-    f is nonzero."""
+    """(num, den, p) with f = num/den * p, where p has coprime integer
+    coefficients and a positive leading coefficient; f is nonzero."""
     coeffs = f.terms.values()
     try:
         num_gcd, den_lcm = math.gcd(*coeffs), 1
@@ -696,9 +680,9 @@ class RatFunc:
         denominator integer-primitive with positive leading coefficient."""
         if num.is_zero():
             return cls(num, MPoly.const(num.reg, 1))
-        c, den = content_and_primitive(den)
-        if c != 1:
-            num = num.scale(1 / c)
+        c_num, c_den, den = _primitive(den)
+        if c_num != c_den:
+            num = num.scale(Fraction(c_den, c_num))
         return cls(num, den)
 
     @classmethod

@@ -467,6 +467,19 @@ def test_command_option_sets(command, capsys):
     assert options == {"--format"} | COMMAND_OPTIONS[command]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "command", [c for c, options in COMMAND_OPTIONS.items() if "--n" in options]
+)
+def test_level_floor(command, n):
+    argv = command.split() + ["--n", str(n)]
+    if "--op" in COMMAND_OPTIONS[command]:
+        argv.append("--op=D1")
+    report = run(argv)
+    assert (report.verdict, report.exit_code) == ("error", 2)
+    assert report.defect == f"ValueError: level must be >= 1, got {n}"
+
+
 KIT_ERRORS = {
     c.__name__ for c in vars(errors).values()
     if isinstance(c, type) and issubclass(c, errors.KitError)
@@ -505,3 +518,20 @@ def test_coset_check_contract(funcs):
 @given(operator_text(), st.integers(1, 3))
 def test_dn_check_contract(op, n):
     assert_cli_contract(["dn", "check", "--n", str(n), f"--op={op}"], op)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["dn polarize", "cover preserve", "cover ring-check",
+     "dn separation", "dn subsum", "cover reduct"],
+)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(operator_text(), st.integers(1, 4))
+def test_level_and_operator_commands_contract(command, op, n):
+    options = COMMAND_OPTIONS[command]
+    argv = command.split()
+    if "--n" in options:
+        argv += ["--n", str(n)]
+    if "--op" in options:
+        argv.append(f"--op={op}")
+    assert_cli_contract(argv, op if "--op" in options else "")

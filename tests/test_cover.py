@@ -136,8 +136,13 @@ def test_relation_arity_checked():
 
 def test_relation_level_must_be_positive():
     ctx = JetContext(2)
-    with pytest.raises(ValueError, match="cover level must be >= 1"):
-        rn_holds(0, [CoverPoint(ctx.gen(0), ctx.gen(1))])
+    for check in (
+        lambda: rn_holds(0, [CoverPoint(ctx.gen(0), ctx.gen(1))]),
+        lambda: generic_rn_point(D, 0),
+        lambda: rn_reduct_check(0),
+    ):
+        with pytest.raises(ValueError, match="level must be >= 1, got 0"):
+            check()
 
 
 def test_relation_points_share_one_context():
@@ -166,8 +171,9 @@ def test_sigma_formula_and_composition():
     assert moved == CoverPoint(t, dt)
     assert sigma(Operator.zero(), p) == p
     # moves compose additively because the base is fixed
-    G = Operator.word((0,), Fraction(3))
-    assert sigma(D, sigma(G, p)) == sigma(D + G, p)
+    G = Operator.from_terms([((0,), Fraction(3))])
+    both = Operator.from_terms([*D.terms.items(), *G.terms.items()])
+    assert sigma(D, sigma(G, p)) == sigma(both, p)
     assert pi(sigma(D, p)) == pi(p)
 
 

@@ -154,13 +154,15 @@ def test_defect_linearity_in_the_operator():
     x = ctx.gen(0)
     words = [(0,), (1,), (0, 1), (1, 0), (0, 0)]
     for _ in range(20):
-        F = Operator.word(rng.choice(words))
-        G = Operator.word(rng.choice(words))
+        u, v = rng.choice(words), rng.choice(words)
         a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         n = rng.randint(1, 3)
-        combo = dn_defect(ctx, a * F + b * G, n, x)
-        split = dn_defect(ctx, F, n, x).scale(a) + dn_defect(ctx, G, n, x).scale(b)
+        combo = dn_defect(ctx, Operator.from_terms([(u, a), (v, b)]), n, x)
+        split = (
+            dn_defect(ctx, Operator.word(u), n, x).scale(a)
+            + dn_defect(ctx, Operator.word(v), n, x).scale(b)
+        )
         assert combo == split
 
 

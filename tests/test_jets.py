@@ -14,7 +14,7 @@ from derivcover.errors import (
 )
 from derivcover.jets import JetContext, Operator, apply_operator, derive, odd_component
 from derivcover.parse import parse_ratfunc
-from derivcover.poly import MPoly, RatFunc, content_and_primitive, mpoly_gcd
+from derivcover.poly import MPoly, RatFunc, mpoly_gcd, primitive_part
 
 from helpers import random_fraction, random_poly, random_ratfunc_small_den
 
@@ -140,8 +140,7 @@ def test_derive_fraction_is_the_reduced_quotient_rule(text):
             quotient_rule = poly_image(letter, num) * den - num * poly_image(letter, den)
             assert f == RatFunc.make(quotient_rule, den * den), (text, word)
             assert mpoly_gcd(f.num, f.den) == one
-            content, primitive = content_and_primitive(f.den)
-            assert content == 1 and primitive == f.den
+            assert primitive_part(f.den) == f.den
 
 
 def test_derive_refuses_a_fraction_from_another_context():

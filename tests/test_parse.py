@@ -41,7 +41,7 @@ def test_cancellation_to_zero_operator():
 
 
 def test_signed_coefficients():
-    assert parse_operator("-D1") == Operator.word((0,), -1)
+    assert parse_operator("-D1") == Operator.from_terms([((0,), Fraction(-1))])
     assert parse_operator("-3*D1 + -2*D2") == Operator.from_terms(
         [((0,), Fraction(-3)), ((1,), Fraction(-2))]
     )

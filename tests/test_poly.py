@@ -20,11 +20,11 @@ from derivcover.poly import (
     MPoly,
     RatFunc,
     VarRegistry,
-    content_and_primitive,
     div_exact,
     mono_key,
     mpoly_gcd,
     fraction_sum,
+    primitive_part,
 )
 
 from helpers import random_fraction, random_nonzero_poly, random_poly, random_ratfunc
@@ -196,9 +196,8 @@ def test_denominator_canonical_form():
         if f.is_zero():
             assert f.den.is_one()
             continue
-        c, prim = content_and_primitive(f.den)
-        assert c == 1 and prim == f.den  # integer coefficients, content 1
-        assert f.den.leading()[1] > 0
+        assert primitive_part(f.den) == f.den  # integer coefficients, content 1
+        assert f.den.sorted_terms()[0][1] > 0
         assert mpoly_gcd(f.num, f.den).is_constant()
 
 
@@ -243,7 +242,7 @@ def test_tuple_monomials_round_trip_on_jets_allocated_out_of_order():
     p = MPoly.from_terms(ctx, reversed(items))
     assert p.sorted_terms() == sorted(items, key=lambda t: mono_key(t[0]))
     assert MPoly.from_terms(ctx, p.sorted_terms()) == p
-    assert p.leading() == (((0, 1), (2, 1), (9, 1)), Fraction(5))
+    assert p.sorted_terms()[0] == (((0, 1), (2, 1), (9, 1)), Fraction(5))
     assert p.variables() == (0, 1, 2, 3, 9, 10)
 
 
@@ -254,10 +253,10 @@ def test_leading_term_is_graded_lex_by_index_not_by_allocation():
     D3, D1, D2 = (MPoly.var(ctx, v) for v in (d3, d1, d2))
     one = MPoly.const(ctx, 1)
     tie = D2 - D1  # equal degrees: the lower index, D1(x1), leads
-    assert tie.leading() == (((d1, 1),), Fraction(-1))
+    assert tie.sorted_terms()[0] == (((d1, 1),), Fraction(-1))
     assert RatFunc.make(one, tie).render() == "(-1)/(D1(x1) - D2(x1))"
     graded = D1 - D3 * D3  # the higher degree leads
-    assert graded.leading() == (((d3, 2),), Fraction(-1))
+    assert graded.sorted_terms()[0] == (((d3, 2),), Fraction(-1))
     assert RatFunc.make(one, graded).render() == "(-1)/(D3(x1)^2 - D1(x1))"
 
 

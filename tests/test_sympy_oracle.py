@@ -112,7 +112,7 @@ def test_exact_division_with_fraction_coefficients(reg, vars_):
         )
         assert div_exact(a * d, d) == a
         # one more term, which usually leaves a remainder
-        f = a * d + MPoly.from_terms(reg, [extra.leading()])
+        f = a * d + MPoly.from_terms(reg, [extra.sorted_terms()[0]])
         _, r = sympy.div(sympy.Poly(to_sympy(f), *gens), sympy.Poly(to_sympy(d), *gens))
         if r.is_zero:
             assert div_exact(f, d) * d == f
