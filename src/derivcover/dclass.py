@@ -39,13 +39,8 @@ from itertools import count, permutations, product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import (
-    ContextMismatchError,
-    PreconditionError,
-    UnknownLetterError,
-    WordLengthError,
-)
-from .jets import JetContext, Operator, Word, apply_operator, odd_component, word_name
+from .errors import ContextMismatchError, PreconditionError
+from .jets import JetContext, Operator, Word, apply_operator, odd_component
 from .poly import (
     Coeff,
     MPoly,
@@ -154,21 +149,15 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     fewer or more than n+1 blocks (module docstring).  Each subword's image
     is computed once per call, from the image of its suffix.  The products
     are summed unreduced, so those over one denominator share one gcd
-    (fraction_sum).  Linear in op.  f must live in ctx and op's words must
-    fit it, also when no word has a partition into n+1 blocks.
+    (fraction_sum).  Linear in op.  f must live in ctx, and each of op's
+    words, in Operator.words() order, must pass ctx.check_word, the check
+    behind ctx.jet, also when no word has a partition into n+1 blocks.
     """
     _check_level(n)
     if f.reg is not ctx:
         raise ContextMismatchError("the element does not live in this context")
-    if op.alphabet_span() > ctx.alphabet_size:
-        raise UnknownLetterError(
-            f"letter D{op.alphabet_span()} outside alphabet of size {ctx.alphabet_size}"
-        )
-    if op.max_word_len() > ctx.max_word_len:
-        longest = word_name(max(op.terms, key=len))
-        raise WordLengthError(
-            f"word {longest} exceeds max word length {ctx.max_word_len}"
-        )
+    for w in op.words():
+        ctx.check_word(w)
 
     @cache
     def image(u: Word) -> RatFunc:

@@ -38,7 +38,7 @@ from .errors import (
     UnknownLetterError,
     WordLengthError,
 )
-from .poly import MPoly, RatFunc, VarRegistry, div_exact, mpoly_gcd
+from .poly import MPoly, RatFunc, VarRegistry, div_exact, mpoly_gcd, signed_sum
 
 Word = tuple[int, ...]
 
@@ -95,21 +95,27 @@ class JetContext(VarRegistry):
         """
         if not 0 <= g < len(self._gens) or not word:
             raise ValueError(f"no jet symbol for generator {g} and word {word!r}")
+        self.check_word(word)
         number = 0
+        for letter in word:
+            number = number * self.alphabet_size + letter + 1
+        v = len(self._gens) * number + g
+        if v not in self:
+            self._add(f"{word_name(word)}({self.name(g)})", v)
+        return v
+
+    def check_word(self, word: Word) -> None:
+        """Raise unless word's letters are in the alphabet and it fits the
+        max word length; the empty word fits every context."""
         for letter in word:
             if not 0 <= letter < self.alphabet_size:
                 raise UnknownLetterError(
                     f"letter D{letter + 1} outside alphabet of size {self.alphabet_size}"
                 )
-            number = number * self.alphabet_size + letter + 1
         if len(word) > self.max_word_len:
             raise WordLengthError(
                 f"word {word_name(word)} exceeds max word length {self.max_word_len}"
             )
-        v = len(self._gens) * number + g
-        if v not in self:
-            self._add(f"{word_name(word)}({self.name(g)})", v)
-        return v
 
     def base_of(self, v: int) -> int:
         """The generator symbol v belongs to; a generator belongs to itself."""
@@ -265,24 +271,7 @@ class Operator:
         identity (empty word) term renders as a bare rational, which lies
         outside the input grammar.
         """
-        if not self.terms:
-            return "0*D1"
-        chunks: list[str] = []
-        for w in self.words():
-            c = self.terms[w]
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if not w:
-                body = str(mag)
-            elif mag == 1:
-                body = word_name(w)
-            else:
-                body = f"{mag}*{word_name(w)}"
-            if not chunks:
-                chunks.append(body if sign == "+" else f"-{body}")
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        return signed_sum((self.terms[w], word_name(w)) for w in self.words()) or "0*D1"
 
     def __repr__(self) -> str:
         return f"Operator({self.render()})"

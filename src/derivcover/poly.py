@@ -46,6 +46,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from functools import reduce
 from typing import Collection, Iterable, Mapping
 
 from .errors import (
@@ -166,6 +167,24 @@ class VarRegistry:
     def unpack(self, m: int) -> Monomial:
         """Tuple form of a packed monomial, sorted by variable index."""
         return tuple(sorted(self.exponents(m)))
+
+
+def signed_sum(pairs: Iterable[tuple[Coeff, str]]) -> str:
+    """Text of the sum of the terms c*body, e.g. `a - 2*b + 1/2`, from
+    (c, body) pairs with c nonzero; an empty body stands for the bare
+    coefficient.  The empty sum gives the empty string."""
+    chunks: list[str] = []
+    for c, body in pairs:
+        mag = -c if c < 0 else c
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        if chunks:
+            chunks.append(f" - {body}" if c < 0 else f" + {body}")
+        else:
+            chunks.append(f"-{body}" if c < 0 else body)
+    return "".join(chunks)
 
 
 def mono_key(m: Monomial) -> tuple:
@@ -365,24 +384,11 @@ class MPoly:
 
     def render(self) -> str:
         """Canonical text: terms in descending graded-lex order, ^ for powers."""
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for m, c in self.sorted_terms():
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            factors = []
-            if mag != 1 or not m:
-                factors.append(str(mag))
-            for v, e in m:
-                nm = self.reg.name(v)
-                factors.append(nm if e == 1 else f"{nm}^{e}")
-            body = "*".join(factors)
-            if not chunks:
-                chunks.append(body if sign == "+" else f"-{body}")
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        name = self.reg.name
+        return signed_sum(
+            (c, "*".join([name(v) if e == 1 else f"{name(v)}^{e}" for v, e in m]))
+            for m, c in self.sorted_terms()
+        ) or "0"
 
     def __repr__(self) -> str:
         return f"MPoly({self.render()})"
@@ -433,8 +439,7 @@ def div_exact(f: MPoly, d: MPoly) -> MPoly:
         raise DivisionByZeroError("division by the zero polynomial")
     if f.is_zero():
         return f
-    if f.reg is not d.reg:
-        raise ContextMismatchError("polynomials belong to different registries")
+    f._check(d)
     if d.is_one():
         return f
     guard = f.reg._guard
@@ -588,8 +593,7 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     content and trial division handle the common easy shapes first.
     gcd(0, 0) = 0.
     """
-    if a.reg is not b.reg:
-        raise ContextMismatchError("polynomials belong to different registries")
+    a._check(b)
     if a.is_zero():
         return primitive_part(b) if not b.is_zero() else b
     if b.is_zero():
@@ -806,8 +810,7 @@ def fraction_sum(reg: VarRegistry, pairs: Iterable[tuple[MPoly, MPoly]]) -> RatF
     The numerators over one denominator are added into one accumulator and
     reduced once, so many fractions over a shared denominator cost their
     total size and one gcd, not one copy of the running total and one gcd
-    each.  The sums over distinct denominators are added pairwise as a
-    balanced tree.
+    each.  The sums over distinct denominators are added in one fold.
     """
     groups: dict[frozenset, tuple[MPoly, dict[int, Coeff]]] = {}
     for num, den in pairs:
@@ -818,6 +821,4 @@ def fraction_sum(reg: VarRegistry, pairs: Iterable[tuple[MPoly, MPoly]]) -> RatF
         for m, c in num.terms.items():
             terms[m] = get(m, 0) + c
     sums = [RatFunc.make(MPoly.from_packed(reg, t), den) for den, t in groups.values()]
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1 :]
-    return sums[0] if sums else RatFunc.zero(reg)
+    return reduce(RatFunc.__add__, sums) if sums else RatFunc.zero(reg)

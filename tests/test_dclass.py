@@ -38,7 +38,7 @@ from derivcover.errors import (
     WordLengthError,
 )
 from derivcover.jets import JetContext, Operator, apply_operator
-from derivcover.parse import parse_ratfunc
+from derivcover.parse import parse_operator, parse_ratfunc
 from derivcover.poly import _MAX_EXP, MPoly, RatFunc, _coeff_in
 
 
@@ -328,6 +328,13 @@ IDENTITY_TERM_OPS = [
 
 ELEMENTS = ["x1", "(x1^2+x1)/(x1-2)", "1/(x1^2+1)"]
 
+# At a fraction f = N/d, a block of length j has an image over d^(j+1), so
+# the level-1 defect sums the identity's f^2 over d^2 and the products of
+# the two- and three-letter words over d^4 and d^5: three denominator groups.
+SEVERAL_DENOMINATORS_OP = Operator.from_terms(
+    [((), Fraction(1, 2)), ((1,), Fraction(-1)), ((0, 2), Fraction(2)), ((2, 1, 0), Fraction(3))]
+)
+
 
 def expanded_dn_defect(ctx, op, n, f, cache=None):
     """F(f^(n+1)) - sum_{i=1..n} binom(n+1, i) (-1)^(n-i) f^(n+1-i) F(f^i),
@@ -377,7 +384,7 @@ def test_dn_defect_matches_the_expansion(element):
     ctx = JetContext(1, 3, 3)
     f = parse_ratfunc(element, ctx, allow_new_vars=False)
     cache = {}
-    for op in _distinct_ops((0, 1, 2)):
+    for op in _distinct_ops((0, 1, 2)) + [SEVERAL_DENOMINATORS_OP]:
         for n in (1, 2, 3, 4):
             expected = expanded_dn_defect(ctx, op, n, f, cache).render()
             assert dn_defect(ctx, op, n, f).render() == expected, (op.render(), n)
@@ -451,11 +458,21 @@ def test_dn_defect_checks_its_inputs_without_a_partition():
     ctx = JetContext(1, 2, 2)
     with pytest.raises(ContextMismatchError):
         dn_defect(ctx, DD, 3, JetContext(1, 2, 2).gen(0))
-    with pytest.raises(WordLengthError):
-        dn_defect(ctx, Operator.word((0, 1, 0)), 3, ctx.gen(0))
-    with pytest.raises(UnknownLetterError):
-        dn_defect(ctx, Operator.word((2,)), 3, ctx.gen(0))
     assert dn_defect(ctx, Operator.word((1, 0)), 3, ctx.gen(0)).is_zero()
+    # one word check: dn_defect raises for a word what ctx.jet raises for it
+    for word in [(0, 1, 0), (2,), (0, 3), (2, 3), (3, 0, 0), (1, 1, 1, 1)]:
+        with pytest.raises((UnknownLetterError, WordLengthError)) as jet_error:
+            ctx.jet(0, word)
+        with pytest.raises(jet_error.type) as defect_error:
+            dn_defect(ctx, Operator.word(word), 3, ctx.gen(0))
+        assert type(defect_error.value) is jet_error.type, word
+        assert str(defect_error.value) == str(jet_error.value), word
+    # the words are checked in Operator.words() order, so the shorter unfit
+    # word is reported, not the unknown letter of the longer one
+    two_unfit = parse_operator("D1.D1.D1 + D1.D1.D1.D3")
+    with pytest.raises(WordLengthError) as err:
+        dn_defect(ctx, two_unfit, 1, ctx.gen(0))
+    assert str(err.value) == "word D1.D1.D1 exceeds max word length 2"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

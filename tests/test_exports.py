@@ -1,9 +1,12 @@
 """The package's public surface: every exported function, class and method
 resolves its type hints.  Annotations are strings under postponed
-evaluation, so a name used in one but never imported shows only here."""
+evaluation, so a name used in one but never imported shows only here.
+And the converse: no module imports a name it never reads."""
 
+import ast
 import inspect
 import typing
+from pathlib import Path
 
 import derivcover
 
@@ -32,3 +35,32 @@ def test_exported_type_hints_resolve():
         typing.get_type_hints(obj)
         names.append(name)
     assert {"is_in_dn", "MPoly.__mul__", "Operator.from_terms"} <= set(names)
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names that source imports but never reads; __future__ imports aside."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert _unread_imports("import os, a.b as c\nfrom x import y, z\nz(os)") == ["c", "y"]
+    modules = sorted(Path(derivcover.__file__).parent.glob("*.py"))
+    unread = {
+        path.name: names
+        for path in modules
+        if path.name != "__init__.py"
+        and (names := _unread_imports(path.read_text(encoding="utf-8")))
+    }
+    assert len(modules) > 5 and not unread

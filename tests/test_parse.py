@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derivcover.errors import (
     DegreeGuardError,
@@ -20,7 +21,7 @@ from derivcover.parse import (
     parse_operator,
     parse_ratfunc,
 )
-from derivcover.poly import RatFunc, VarRegistry
+from derivcover.poly import MPoly, RatFunc, VarRegistry
 
 
 def test_word_parsing():
@@ -210,6 +211,44 @@ def test_operator_render_parse_round_trip():
     for _ in range(250):
         op = random_operator(rng)
         assert parse_operator(op.render()) == op
+
+
+_coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple), _coefficients),
+        max_size=4,
+    )
+)
+def test_operator_render_parses_back(terms):
+    # no identity term: its bare rational lies outside the operator grammar;
+    # the zero operator renders as 0*D1
+    op = Operator.from_terms(terms)
+    assert parse_operator(op.render()) == op
+
+
+def _poly_terms(names: int):
+    monomial = st.lists(st.integers(0, 3), min_size=names, max_size=names)
+    return st.lists(st.tuples(monomial, _coefficients), max_size=4)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_poly_terms(3), _poly_terms(3))
+def test_ratfunc_render_parses_back(num_terms, den_terms):
+    reg = VarRegistry()
+    symbols = [reg.add_generator(name) for name in ("t", "u", "x1")]
+
+    def poly(terms):
+        return MPoly.from_terms(
+            reg, [(tuple((v, e) for v, e in zip(symbols, exps) if e), c) for exps, c in terms]
+        )
+
+    den = poly(den_terms)
+    f = RatFunc.make(poly(num_terms), den if not den.is_zero() else MPoly.const(reg, 1))
+    assert parse_ratfunc(f.render(), reg, allow_new_vars=False) == f
 
 
 def test_nesting_limit():
