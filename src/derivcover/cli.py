@@ -3,6 +3,14 @@
 Exit codes: 0 = holds, 1 = refuted, 2 = error (including usage errors).
 Reports are byte-identical across runs for fixed seed and inputs; the
 timing_ms field is pinned to 0 for that reason.
+
+The command's words at the head of argv pick its own parser, which reads
+the rest of argv.  That is the same parser object, given the same words,
+that the full tree of top, group and command parsers would reach, so it
+parses and fails alike.  The full tree stays for what a command's parser
+cannot answer alone: argv that names no command, which needs the top or
+group usage and help, and argv with words left over, which the top parser
+reports as unrecognized arguments.
 """
 
 from __future__ import annotations
@@ -281,8 +289,12 @@ OPTIONS = {
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]
+]:
+    """The full parser tree and each command's own parser within it, keyed
+    by the command's words; built once per process: parsing leaves them
+    unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
@@ -299,6 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="group", required=True)
     actions = {}
+    leaves = {}
     for name, cmd in COMMANDS.items():
         group, _, action = name.partition(" ")
         if action and group not in actions:
@@ -309,12 +322,31 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in cmd.options:
             c.add_argument(f"--{option.replace('_', '-')}", **OPTIONS[option])
         c.set_defaults(command=name)
-    return parser
+        leaves[tuple(name.split())] = c
+    return parser, leaves
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed as the full tree parses it, less the group and action
+    names that nothing reads."""
+    tree, leaves = _build_parser()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        if words in leaves:
+            args, extra = leaves[words].parse_known_args(argv[len(words):])
+            if not extra:
+                return args
+            break
+    return tree.parse_args(argv)
 
 
 def run(argv: Sequence[str]) -> Report:
-    """Execute one CLI invocation and return its report."""
-    args = _build_parser().parse_args(argv)
+    """Execute one CLI invocation and return its report.
+
+    The words after the command's own go straight to its parser, not
+    through the top and group parsers, which would hand it the same words.
+    The full tree parses argv that names no command or leaves words over,
+    so that its usage errors and help keep their text."""
+    args = _parse(argv)
     cmd = COMMANDS[args.command]
     given = {option: str(getattr(args, option)) for option in cmd.options}
     # every report echoes the required inputs; an error report also the settings

@@ -1,19 +1,27 @@
 """CLI surface: verdicts, exit codes, report formats, determinism."""
 
+import argparse
 import ast
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivcover import errors
-from derivcover.cli import Report, run
+from derivcover.cli import COMMANDS, Report, _build_parser, _parse, run
 from derivcover.dclass import is_in_dn
 
 from helpers import FOREIGN_CHARS, function_list_text, operator_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import known  # noqa: E402
 
 
 def test_exit_code_holds():
@@ -535,3 +543,121 @@ def test_level_and_operator_commands_contract(command, op, n):
     if "--op" in options:
         argv.append(f"--op={op}")
     assert_cli_contract(argv, op if "--op" in options else "")
+
+
+# ---------------------------------------------------------------------------
+# Parsing: each command's own parser against the full tree
+
+
+def tree_leaves(parser, words=()):
+    """The full tree's command parsers, keyed by the words that reach them."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {words: parser}
+    return {
+        key: leaf
+        for name, child in subs[0].choices.items()
+        for key, leaf in tree_leaves(child, words + (name,)).items()
+    }
+
+
+def test_each_command_has_its_own_parser():
+    tree, leaves = _build_parser()
+    assert leaves == tree_leaves(tree)  # the tree's own objects, by identity
+    assert sorted(leaves) == sorted(tuple(name.split()) for name in COMMANDS)
+    for words, leaf in leaves.items():
+        assert leaf.get_default("command") == " ".join(words)
+    # run looks up two words, then one: no lone command may shadow a group
+    assert all(len(words) <= 2 for words in leaves)
+    lone = {words[0] for words in leaves if len(words) == 1}
+    assert not lone & {words[0] for words in leaves if len(words) == 2}
+    assert run(("cover", "psi-check")).verdict == "holds"
+
+
+def parse_outcome(parse, argv):
+    """The parsed namespace as a dict, or the exit code with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# An argv is a head of command words, whole or run together into one word;
+# in some examples the command's required options; some of its options
+# with valid values; in some examples one word or pair from ARGV_PARTS, and
+# one from ARGV_ANYWHERE inserted at any position.
+REQUIRED = ("--n", "--op", "--funcs")
+ARGV_HEADS = [*COMMANDS, "dn", "cover", "bogus", "dn bogus", ""]
+VALUES = {"--n": "2", "--op": "D1.D1", "--funcs": "t,t^2", "--max-n": "3", "--seed": "2"}
+ARGV_PARTS = [
+    ["--n", "x"], ["--n"], ["--op=-D1"], ["--op", "-D1"], ["--o", "D1.D2"], ["--max", "x"],
+    ["--m", "4"], ["--f", "t"], ["--s=1"], ["--format", "xml"], ["--fo=text"], ["extra"], ["-x"],
+]
+ARGV_ANYWHERE = [["--"], ["-h"], ["--help"], ["--he"]]
+
+
+@st.composite
+def cli_argv(draw):
+    head = draw(st.sampled_from(ARGV_HEADS))
+    argv = [head] if " " in head and draw(st.booleans()) else head.split()
+    options = sorted(COMMAND_OPTIONS.get(head, ()))
+    if draw(st.booleans()):
+        argv += [w for o in options if o in REQUIRED for w in (o, VALUES[o])]
+    valid = [[o, VALUES[o]] for o in options] + [["--format", "json"]]
+    for part in draw(st.lists(st.sampled_from(valid), max_size=2)):
+        argv += part
+    for extra in (ARGV_PARTS, ARGV_ANYWHERE):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(argv)))
+            argv[i:i] = draw(st.sampled_from(extra))
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cli_argv())
+def test_command_parser_parses_as_the_full_tree(argv):
+    tree, _ = _build_parser()
+    full = parse_outcome(tree.parse_args, argv)
+    if isinstance(full, dict):
+        full = {k: v for k, v in full.items() if k not in ("group", "action")}
+    assert parse_outcome(_parse, argv) == full
+
+
+def test_command_words_run_together_are_no_command():
+    code, out, err = parse_outcome(run, ["dn check", "--n", "1", "--op", "D1"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'dn check'" in err
+
+
+def test_leftover_words_are_a_top_level_error():
+    code, out, err = parse_outcome(run, ["dn", "check", "--n", "1", "--op", "D1", "extra"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: derivcover [-h]")
+    assert err.endswith("derivcover: error: unrecognized arguments: extra\n")
+
+
+# ---------------------------------------------------------------------------
+# The paper's equivalences, through the CLI
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    operator_text().filter(lambda op: not any(c in op for c in FOREIGN_CHARS)),
+    st.integers(1, 3),
+)
+def test_equivalent_certifications_agree(op, n):
+    """Membership in the order-n class, the polarized identity and
+    preservation of the level-n relation are one property; the Leibniz test
+    on the cover is the case n = 1.  The benchmark's rule decides some
+    operators without derivcover, and agrees where it does."""
+    verdict = run(["dn", "check", "--n", str(n), f"--op={op}"]).verdict
+    for command in ("dn polarize", "cover preserve"):
+        assert run([*command.split(), "--n", str(n), f"--op={op}"]).verdict == verdict, command
+    first = run(["dn", "check", "--n", "1", f"--op={op}"]).verdict
+    assert run(["cover", "ring-check", f"--op={op}"]).verdict == first
+    if verdict != "error":
+        member = known.dn_member(known.parse_operator(op), n)
+        if member is not None:
+            assert verdict == ("holds" if member else "refuted")
