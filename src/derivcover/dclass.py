@@ -124,20 +124,6 @@ def _partitions(word: Word, blocks: int) -> Iterator[tuple[Word, ...]]:
     return place(0) if blocks <= k else iter(())
 
 
-def _subwords(op: Operator) -> list[Word]:
-    """Every distinct nonempty subword (letters kept in order) of op's words,
-    in the (length, word) order of their jet indices.  Allocating jets in
-    that order gives the short words the low fields of a packed monomial."""
-    subs: set[Word] = set()
-    for w in op.terms:
-        own: set[Word] = {()}
-        for letter in w:
-            own |= {u + (letter,) for u in own}
-        subs |= own
-    subs.discard(())
-    return sorted(subs, key=lambda u: (len(u), u))
-
-
 def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     """Defect of the order-n identity for op at the element f.
 
@@ -188,14 +174,14 @@ def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
     The generic point is universal for word-algebra operators: the defect is
     a polynomial in free jet symbols, so it vanishes identically iff the
     identity holds for all complex numbers and all derivations.  The jet of
-    every subword of op's words is allocated, as the Leibniz action on
-    F(f^(n+1)) reaches them all, so a witness assigns every jet that any
-    term of that expansion reads.
+    every subword of op's words is placed first, in one pass
+    (JetContext.place_subwords), as the Leibniz action on F(f^(n+1)) reaches
+    them all, so a witness assigns every jet that any term of that expansion
+    reads.
     """
     _check_level(n)
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
-    for u in _subwords(op):
-        ctx.jet(0, u)
+    ctx.place_subwords(op.terms)
     return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)))
 
 
@@ -211,8 +197,8 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
     image is every generator (inclusion-exclusion).  A surjection is a
     partition into n+1 blocks with the blocks dealt to the generators in
     some order, and each factor is one jet symbol, so every term is a
-    squarefree monomial in the jets.  The jet of every subword is allocated
-    at every generator, as in is_in_dn.
+    squarefree monomial in the jets.  The jet of every subword is placed at
+    every generator by JetContext.place_subwords, as in is_in_dn.
     """
     _check_level(n)
     return _polarization(JetContext(n + 1, op.alphabet_span(), op.max_word_len()), op, n)
@@ -221,15 +207,21 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
 def _polarization(ctx: JetContext, op: Operator, n: int) -> RatFunc:
     """polarization_defect in ctx, a context of n+1 generators."""
     gens = range(n + 1)
-    jet = {(g, u): ctx.jet(g, u) for u in _subwords(op) for g in gens}
+    ctx.place_subwords(op.terms)
+
+    @cache
+    def jets(u: Word) -> list[int]:
+        # the jet of block u at each generator, once per call
+        return [ctx.jet(g, u) for g in gens]
 
     def terms() -> Iterator[tuple[Monomial, Coeff]]:
         if () in op.terms:
             yield tuple((g, 1) for g in ctx.gens), op.terms[()] * (-1) ** n
         for w, c in op.terms.items():
             for blocks in _partitions(w, n + 1):
+                rows = [jets(u) for u in blocks]
                 for order in permutations(gens):
-                    yield tuple((jet[g, u], 1) for g, u in zip(order, blocks)), c
+                    yield tuple((row[g], 1) for g, row in zip(order, rows)), c
 
     return RatFunc.from_poly(MPoly.from_terms(ctx, terms()))
 
@@ -327,7 +319,8 @@ def find_witness(defect: RatFunc) -> tuple[Assignment, Fraction]:
         values[v] = next(
             t for t in count(1) if all(sum(c * t**e for e, c in r.items()) for r in rows)
         )
-    point = {v: Fraction(values.get(v, 0)) for v in defect.reg.symbols()}
+    zero = Fraction(0)  # one shared value for every symbol left at 0
+    point = {v: Fraction(values[v]) if v in values else zero for v in defect.reg.symbols()}
     return point, defect.evaluate(point)
 
 

@@ -12,7 +12,11 @@ universally quantified identities into finite computations.
 
 Jet symbols are allocated when first asked for, as differential algebra
 treats the derivatives of an indeterminate, so a context holds only the
-symbols the Leibniz action has reached.
+symbols the Leibniz action has reached, or those placed for every subword of
+an operator's words (JetContext.place_subwords).  A jet is placed by its
+index alone, and its name is built from that index when it is first printed.
+Names are looked up only for the generators: the expression grammar's names
+(`[a-z][0-9]*`) cannot spell a jet.
 
 No nonconstant polynomial p divides its own image D(p) under a letter D.
 D sends a symbol v of p with the longest word to a symbol D(v) that p does
@@ -56,7 +60,9 @@ class JetContext(VarRegistry):
     word, then generator.  Variable order, and with it every rendered
     polynomial, therefore does not depend on which symbols were reached.
     The index alone says which generator and word a symbol stands for, so
-    the generators are fixed when the context is built.
+    the generators are fixed when the context is built, and a jet is placed
+    without a name: name builds it on first use.  lookup finds generators
+    only; a jet's name gives None.
     """
 
     def __init__(
@@ -70,6 +76,7 @@ class JetContext(VarRegistry):
         self.alphabet_size = alphabet_size
         self.max_word_len = max_word_len
         self._gens = tuple(self._add(f"x{i + 1}", i) for i in range(num_generators))
+        self._texts = {0: ""}  # word text by numeral, the empty word at 0
         # packed steps of _derive_poly: letter -> v -> unit(shifted symbol) - unit(v)
         self._steps: dict[int, dict[int, int]] = {}
 
@@ -101,8 +108,57 @@ class JetContext(VarRegistry):
             number = number * self.alphabet_size + letter + 1
         v = len(self._gens) * number + g
         if v not in self:
-            self._add(f"{word_name(word)}({self.name(g)})", v)
+            self._place(v)
         return v
+
+    def place_subwords(self, words: Iterable[Word]) -> None:
+        """Place the jet of every nonempty subword (letters kept in order) of
+        words at every generator, in index order, skipping the jets already
+        placed.  Each word must pass check_word.
+
+        Works on numerals alone: appending letter l to the word of numeral u
+        gives the numeral u·m + l + 1 (see jet), so no word or name is built.
+        Placing in index order gives the short words the low fields of a
+        packed monomial.
+        """
+        m, k = self.alphabet_size, len(self._gens)
+        numbers: set[int] = set()
+        for w in words:
+            self.check_word(w)
+            own = {0}
+            for letter in w:
+                own |= {u * m + letter + 1 for u in own}
+            numbers |= own
+        numbers.discard(0)
+        for number in sorted(numbers):
+            for v in range(k * number, k * number + k):
+                if v not in self._shift:
+                    self._place(v)
+
+    def name(self, v: int) -> str:
+        """Name of symbol v, e.g. `D2.D1(x3)`.  A jet's name is built from
+        its index on first use; KeyError if v is not allocated."""
+        text = self._names.get(v)
+        if text is None:
+            if v not in self._shift:
+                raise KeyError(v)
+            number, g = divmod(v, len(self._gens))
+            text = self._names[v] = f"{self._word_text(number)}({self._names[g]})"
+        return text
+
+    def _word_text(self, number: int) -> str:
+        """word_name of the word with this numeral.  Caches the text of the
+        word and of each prefix it passes, so a text costs one f-string from
+        its prefix's text."""
+        texts, pending = self._texts, []
+        while number not in texts:
+            pending.append(number)
+            number = (number - 1) // self.alphabet_size
+        text = texts[number]
+        for number in reversed(pending):
+            letter = f"D{(number - 1) % self.alphabet_size + 1}"
+            text = texts[number] = f"{text}.{letter}" if text else letter
+        return text
 
     def check_word(self, word: Word) -> None:
         """Raise unless word's letters are in the alphabet and it fits the

@@ -93,9 +93,13 @@ class VarRegistry:
     from different registries raise ContextMismatchError.  Registries are
     append-only: existing indices never change meaning.  Plain registries
     number their variables densely; a subclass may place a variable at an
-    explicit index, so the allocated indices need not be contiguous.  Each
-    variable also gets the next exponent field of the packed monomials, in
-    allocation order, so a new variable never moves an existing field.
+    explicit index, so the allocated indices need not be contiguous.  Placing
+    a variable gives it the next exponent field of the packed monomials, in
+    placement order, so a new variable never moves an existing field.  The
+    placed fields alone say which variables exist; the name record is kept
+    apart, so a subclass may place a variable without naming it and build
+    its name when it is first asked for.  lookup finds the names recorded
+    with _add.
     """
 
     def __init__(self) -> None:
@@ -108,28 +112,35 @@ class VarRegistry:
     @property
     def num_vars(self) -> int:
         """Number of variables allocated so far."""
-        return len(self._names)
+        return len(self._slots)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._names
+        return v in self._shift
 
     def symbols(self) -> list[int]:
         """Every allocated variable index, ascending."""
-        return sorted(self._names)
+        return sorted(self._slots)
 
     def add_generator(self, name: str) -> int:
-        return self._add(name, len(self._names))
+        return self._add(name, len(self._slots))
 
     def _add(self, name: str, idx: int) -> int:
-        if name in self._by_name or idx in self._names:
-            raise ValueError(f"variable {name!r} or index {idx} already allocated")
+        """Place the variable idx and record its name."""
+        if name in self._by_name:
+            raise ValueError(f"variable {name!r} already allocated")
+        self._place(idx)
         self._names[idx] = name
         self._by_name[name] = idx
+        return idx
+
+    def _place(self, idx: int) -> None:
+        """Give the variable idx the next exponent field."""
+        if idx in self._shift:
+            raise ValueError(f"variable index {idx} already allocated")
         shift = (len(self._slots) + 1) * _FIELD_BITS
         self._slots.append(idx)
         self._shift[idx] = shift
         self._guard |= 1 << (shift + _FIELD_BITS - 1)
-        return idx
 
     def name(self, v: int) -> str:
         return self._names[v]

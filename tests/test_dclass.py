@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derivcover import cli
 from derivcover.dclass import (
@@ -392,6 +393,51 @@ def test_dn_defect_matches_the_expansion(element):
 
 def _allocated(ctx):
     return [ctx.name(v) for v in ctx.symbols()]
+
+
+def _jet_by_jet(ctx, words):
+    # the jet of every nonempty subword at every generator, asked for one at
+    # a time in (length, word, generator) order
+    subwords = {
+        tuple(w[i] for i in positions)
+        for w in words
+        for r in range(1, len(w) + 1)
+        for positions in combinations(range(len(w)), r)
+    }
+    for u in sorted(subwords, key=lambda u: (len(u), u)):
+        for g in ctx.gens:
+            ctx.jet(g, u)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.lists(st.integers(0, 3), max_size=6).map(tuple), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_one_pass_placement_matches_jet_by_jet(k, words, filled):
+    # place_subwords, which is_in_dn and _polarization call, leaves the same
+    # symbols, fields and names as asking for each jet; also in a context
+    # the Leibniz action has filled, as odd_extraction_check's is
+    op = Operator.from_terms((w, Fraction(1)) for w in words)
+    contexts = []
+    for place in (JetContext.place_subwords, _jet_by_jet):
+        ctx = JetContext(k, 4, 6)
+        if filled:
+            s = sum((ctx.gen(g) for g in range(k)), RatFunc.zero(ctx))
+            apply_operator(ctx, op, s**2)
+        place(ctx, op.terms)
+        assert len(ctx._slots) == len(set(ctx._slots)) == ctx.num_vars
+        contexts.append(ctx)
+    one_pass, by_jet = contexts
+    assert one_pass.symbols() == by_jet.symbols()
+    assert one_pass._slots == by_jet._slots
+    assert [one_pass.name(v) for v in one_pass._slots] == [by_jet.name(v) for v in by_jet._slots]
+    # a second pass places nothing, and no index is placed twice
+    one_pass.place_subwords(op.terms)
+    assert one_pass._slots == by_jet._slots
+    with pytest.raises(ValueError):
+        one_pass._place(one_pass._slots[-1])
 
 
 def test_witness_assigns_every_jet_the_expansion_allocates():

@@ -2,17 +2,25 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from derivcover import cli
 from derivcover.errors import (
     ContextMismatchError,
     PreconditionError,
     UnknownLetterError,
     WordLengthError,
 )
-from derivcover.jets import JetContext, Operator, apply_operator, derive, odd_component
+from derivcover.jets import (
+    JetContext,
+    Operator,
+    apply_operator,
+    derive,
+    odd_component,
+    word_name,
+)
 from derivcover.parse import parse_ratfunc
 from derivcover.poly import MPoly, RatFunc, mpoly_gcd, primitive_part
 
@@ -89,6 +97,42 @@ def test_jet_rendering_outermost_first():
     ctx = JetContext(3, 2, 2)
     v = ctx.jet(ctx.gens[2], (1, 0))
     assert ctx.name(v) == "D2.D1(x3)"
+
+
+def test_jet_names_are_built_from_the_index():
+    # a jet's name reads its word and generator off its index, whatever
+    # order the names are first asked for in; only generators are looked up
+    names = []
+    for seed in range(4):
+        ctx = JetContext(3, 3, 4)
+        ctx.place_subwords([(2, 0, 1, 0), (1, 1)])
+        jets = ctx.symbols()[len(ctx.gens) :]
+        random.Random(seed).shuffle(jets)
+        names.append({v: ctx.name(v) for v in jets})
+        for v in jets:
+            assert ctx.name(v) == f"{word_name(ctx.word_of(v))}({ctx.name(ctx.base_of(v))})"
+            assert ctx.lookup(ctx.name(v)) is None
+    assert all(n == names[0] for n in names)
+    unplaced = JetContext(3, 3, 4).jet(0, (2, 2, 2, 2))
+    assert unplaced not in ctx
+    with pytest.raises(KeyError):
+        ctx.name(unplaced)
+    assert [ctx.lookup(x) for x in ("x1", "x2", "x3", "x4")] == [0, 1, 2, None]
+
+
+def test_refuted_witness_lists_every_subword_jet():
+    # seven distinct letters at level 6: the witness assigns x1, then the
+    # jets of the 127 nonempty subwords in (length, word) order
+    word = (2, 6, 4, 5, 1, 3, 0)
+    report = cli.run(["dn", "check", "--n", "6", "--op", word_name(word)])
+    assert report.verdict == "refuted"
+    subwords = sorted(
+        {tuple(word[i] for i in pos) for r in range(1, 8) for pos in combinations(range(7), r)},
+        key=lambda u: (len(u), u),
+    )
+    assert len(subwords) == 127
+    names = [a["var"] for a in report.witness["assignments"]]
+    assert names == ["x1"] + [f"{word_name(u)}(x1)" for u in subwords]
 
 
 def test_derive_square_is_leibniz():
