@@ -185,7 +185,7 @@ def rn_reduct_check(n: int) -> bool:
 
     # backward: generic shifts satisfying the constraint produce a relation
     # tuple
-    ctx = JetContext(2 + max(0, n - 1))
+    ctx = JetContext(n + 1)
     alpha = ctx.gen(0)
     a1 = CoverPoint(alpha, ctx.gen(1))
     eps = {i: ctx.gen(i) for i in range(2, n + 1)}

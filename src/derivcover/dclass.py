@@ -44,7 +44,6 @@ from .jets import JetContext, Operator, Word, apply_operator, odd_component
 from .poly import (
     Coeff,
     MPoly,
-    Monomial,
     RatFunc,
     fraction_sum,
 )
@@ -177,9 +176,8 @@ def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
     every subword of op's words is placed first, in one pass
     (JetContext.place_subwords), as the Leibniz action on F(f^(n+1)) reaches
     them all, so a witness assigns every jet that any term of that expansion
-    reads.
+    reads.  dn_defect checks the level.
     """
-    _check_level(n)
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
     ctx.place_subwords(op.terms)
     return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)))
@@ -210,20 +208,20 @@ def _polarization(ctx: JetContext, op: Operator, n: int) -> RatFunc:
     ctx.place_subwords(op.terms)
 
     @cache
-    def jets(u: Word) -> list[int]:
-        # the jet of block u at each generator, once per call
-        return [ctx.jet(g, u) for g in gens]
+    def units(u: Word) -> list[int]:
+        # the packed jet of block u at each generator, once per call
+        return [ctx.unit(ctx.jet(g, u)) for g in gens]
 
-    def terms() -> Iterator[tuple[Monomial, Coeff]]:
-        if () in op.terms:
-            yield tuple((g, 1) for g in ctx.gens), op.terms[()] * (-1) ** n
-        for w, c in op.terms.items():
-            for blocks in _partitions(w, n + 1):
-                rows = [jets(u) for u in blocks]
-                for order in permutations(gens):
-                    yield tuple((row[g], 1) for g, row in zip(order, rows)), c
-
-    return RatFunc.from_poly(MPoly.from_terms(ctx, terms()))
+    terms: dict[int, Coeff] = {}
+    if () in op.terms:
+        terms[sum(map(ctx.unit, ctx.gens))] = op.terms[()] * (-1) ** n
+    for w, c in op.terms.items():
+        for blocks in _partitions(w, n + 1):
+            rows = [units(u) for u in blocks]
+            for order in permutations(gens):
+                m = sum(row[g] for g, row in zip(order, rows))
+                terms[m] = terms.get(m, 0) + c
+    return RatFunc.from_poly(MPoly.from_packed(ctx, terms))
 
 
 def odd_extraction_check(op: Operator, n: int) -> bool:

@@ -14,7 +14,8 @@ Jet symbols are allocated when first asked for, as differential algebra
 treats the derivatives of an indeterminate, so a context holds only the
 symbols the Leibniz action has reached, or those placed for every subword of
 an operator's words (JetContext.place_subwords).  A jet is placed by its
-index alone, and its name is built from that index when it is first printed.
+index alone, and its name is built from that index when it is first printed:
+word_name spells its word, the one spelling of a word everywhere.
 Names are looked up only for the generators: the expression grammar's names
 (`[a-z][0-9]*`) cannot spell a jet.
 
@@ -34,6 +35,7 @@ e.g. `D2.D1(x3)`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from .errors import (
@@ -47,7 +49,9 @@ from .poly import MPoly, RatFunc, VarRegistry, div_exact, mpoly_gcd, signed_sum
 Word = tuple[int, ...]
 
 
+@cache
 def word_name(word: Word) -> str:
+    """Text of a word, e.g. `D2.D1`; it does not depend on the context."""
     return ".".join(f"D{letter + 1}" for letter in word)
 
 
@@ -76,7 +80,6 @@ class JetContext(VarRegistry):
         self.alphabet_size = alphabet_size
         self.max_word_len = max_word_len
         self._gens = tuple(self._add(f"x{i + 1}", i) for i in range(num_generators))
-        self._texts = {0: ""}  # word text by numeral, the empty word at 0
         # packed steps of _derive_poly: letter -> v -> unit(shifted symbol) - unit(v)
         self._steps: dict[int, dict[int, int]] = {}
 
@@ -142,22 +145,8 @@ class JetContext(VarRegistry):
         if text is None:
             if v not in self._shift:
                 raise KeyError(v)
-            number, g = divmod(v, len(self._gens))
-            text = self._names[v] = f"{self._word_text(number)}({self._names[g]})"
-        return text
-
-    def _word_text(self, number: int) -> str:
-        """word_name of the word with this numeral.  Caches the text of the
-        word and of each prefix it passes, so a text costs one f-string from
-        its prefix's text."""
-        texts, pending = self._texts, []
-        while number not in texts:
-            pending.append(number)
-            number = (number - 1) // self.alphabet_size
-        text = texts[number]
-        for number in reversed(pending):
-            letter = f"D{(number - 1) % self.alphabet_size + 1}"
-            text = texts[number] = f"{text}.{letter}" if text else letter
+            g = self.base_of(v)
+            text = self._names[v] = f"{word_name(self.word_of(v))}({self._names[g]})"
         return text
 
     def check_word(self, word: Word) -> None:

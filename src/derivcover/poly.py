@@ -21,7 +21,10 @@ first, ties broken by comparing exponents variable by variable in index
 order), computed from the unpacked exponents: sorted_terms(), render() and
 mono_key().  At the boundary a monomial is a tuple of (variable index,
 exponent) pairs sorted by index, with all exponents > 0; the empty tuple is
-the constant monomial.  from_terms() packs such tuples.
+the constant monomial.  Tuples enter only through from_terms(), which packs
+them (for tests and the suite's coset sampler), and leave only through
+sorted_terms(), render() and the leading-term choice; every computing path
+builds packed ints directly.
 
 No field may overflow.  A monomial whose total degree exceeds 2**15 - 1 is
 refused with DegreeGuardError wherever it could arise: when packing, in every
@@ -559,7 +562,7 @@ def _mono_min(reg: VarRegistry, monos: Collection[int]) -> int:
             common = {v: min(e, exps[v]) for v, e in common.items() if v in exps}
         if not common:
             return 0
-    return reg.pack(tuple(common.items()))
+    return sum((e << reg._shift[v]) + e for v, e in common.items())
 
 
 def _divides(d: MPoly, f: MPoly) -> bool:

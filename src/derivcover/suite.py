@@ -37,11 +37,11 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     def note(defect: RatFunc) -> None:
         collected.append((defect, defect.is_zero()))
 
-    decided: dict[tuple[str, int], dclass.MembershipVerdict] = {}
+    decided: dict[tuple[frozenset, int], dclass.MembershipVerdict] = {}
 
     def member(op: Operator, n: int) -> dclass.MembershipVerdict:
         """is_in_dn(op, n), decided and noted once per (operator, level)."""
-        key = (op.render(), n)
+        key = (frozenset(op.terms.items()), n)
         if key not in decided:
             decided[key] = is_in_dn(op, n)
             note(decided[key].defect)

@@ -16,6 +16,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from derivcover.cli import run  # noqa: E402
 from derivcover.cosets import affine_relation  # noqa: E402
 from derivcover.errors import ExactDivisionError  # noqa: E402
 from derivcover.jets import JetContext, derive  # noqa: E402
@@ -185,11 +186,18 @@ POLYNOMIAL_TERMS = ("1", "t", "t^2", "t^3")
 FRACTION_TERMS = ("1", "t", "1/(t - 1)", "1/(t + 2)^2", "t/(t^2 - 3)")
 
 
-def random_tuple(rng: random.Random) -> list[str]:
+# The same in t and u, which no oracle of the suite covers.
+TU_POLYNOMIAL_TERMS = ("1", "t", "u", "t*u", "t^2 - u")
+TU_FRACTION_TERMS = ("1", "t", "u", "1/(t - u)", "t/(u^2 + 1)", "1/(t*u - 2)")
+
+
+def random_tuple(
+    rng: random.Random, families: tuple = (POLYNOMIAL_TERMS, FRACTION_TERMS)
+) -> list[str]:
     """Seeded tuple texts.  Each entry is a small integer combination of one
     family's terms.  Most tuples of two or three plant a relation: their last
     entry is a combination of the others plus a constant."""
-    terms = rng.choice((POLYNOMIAL_TERMS, FRACTION_TERMS))
+    terms = rng.choice(families)
     vectors = [[rng.randint(-2, 2) for _ in terms] for _ in range(rng.randint(1, 3))]
     if len(vectors) > 1 and rng.random() < 0.7:
         weights = [rng.randint(-2, 2) for _ in vectors[:-1]]
@@ -199,18 +207,25 @@ def random_tuple(rng: random.Random) -> list[str]:
     return [" + ".join(f"({c})*({t})" for c, t in zip(v, terms)) for v in vectors]
 
 
-def sympy_has_relation(exprs: list, t: "sympy.Symbol") -> bool:
+def sympy_has_relation(exprs: list, *gens: "sympy.Symbol") -> bool:
     """e1*f1 + ... + en*fn = e0 with e1..en not all zero, decided from the
     kernel of the coefficient matrix of (f1*D, ..., fn*D, D) over the
-    powers of t, where D clears every denominator."""
+    monomials in gens, where D clears every denominator."""
     common = sympy.lcm([sympy.fraction(sympy.cancel(f))[1] for f in exprs])
-    columns = [sympy.Poly(sympy.cancel(f * common), t) for f in exprs]
-    columns.append(sympy.Poly(common, t))
-    degree = max(c.degree() for c in columns)
-    matrix = sympy.Matrix(
-        [[c.coeff_monomial(t**k) for c in columns] for k in range(degree + 1)]
-    )
+    columns = [sympy.Poly(sympy.cancel(f * common), *gens) for f in exprs]
+    columns.append(sympy.Poly(common, *gens))
+    monomials = sorted({m for c in columns for m in c.monoms()})
+    matrix = sympy.Matrix([[c.coeff_monomial(m) for c in columns] for m in monomials])
     return any(any(vec[:-1]) for vec in matrix.nullspace())
+
+
+def assert_relation_holds(relation, exprs: list, texts: list[str]) -> None:
+    total = sum(
+        (sympy.Rational(c.numerator, c.denominator) * f
+         for c, f in zip(relation.coefficients, exprs)),
+        -sympy.Rational(relation.constant.numerator, relation.constant.denominator),
+    )
+    assert sympy.cancel(total) == 0, texts
 
 
 def test_affine_relation_matches_sympy_nullspace():
@@ -227,10 +242,25 @@ def test_affine_relation_matches_sympy_nullspace():
         assert _has_relation(funcs) == expected, texts
         found[relation is not None] += 1
         if relation is not None:
-            total = sum(
-                (sympy.Rational(c.numerator, c.denominator) * f
-                 for c, f in zip(relation.coefficients, exprs)),
-                -sympy.Rational(relation.constant.numerator, relation.constant.denominator),
-            )
-            assert sympy.cancel(total) == 0, texts
+            assert_relation_holds(relation, exprs, texts)
     assert found[True] >= 15 and found[False] >= 15
+
+
+def test_two_variable_coset_check_matches_sympy_nullspace():
+    # the suite's evaluation-rank oracle takes one variable, so sympy's
+    # kernel over the monomials in t and u is the only oracle here
+    rng = random.Random(16)
+    t, u = sympy.symbols("t u")
+    found = {True: 0, False: 0}
+    for _ in range(32):
+        texts = random_tuple(rng, (TU_POLYNOMIAL_TERMS, TU_FRACTION_TERMS))
+        exprs = [sympy.sympify(text.replace("^", "**")) for text in texts]
+        expected = sympy_has_relation(exprs, t, u)
+        report = run(["coset", "check", "--funcs", ",".join(texts)])
+        assert report.verdict == ("refuted" if expected else "holds"), texts
+        relation = affine_relation(parse_func_list(",".join(texts)))
+        assert (relation is not None) == expected, texts
+        found[expected] += 1
+        if relation is not None:
+            assert_relation_holds(relation, exprs, texts)
+    assert found[True] >= 12 and found[False] >= 12
