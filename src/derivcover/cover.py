@@ -160,8 +160,8 @@ def rn_reduct_check(n: int) -> bool:
 
     For n = 1 the combination is an empty sum, so the last shift must be 0
     and the relation degenerates to `second point = first point squared`.
+    generic_rn_point checks the level.
     """
-    _check_level(n)
 
     def shift_constraint(alpha: RatFunc, eps: dict[int, RatFunc]) -> RatFunc:
         # the first point is unshifted: its term of the combination is zero

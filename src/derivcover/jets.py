@@ -79,7 +79,9 @@ class JetContext(VarRegistry):
         super().__init__()
         self.alphabet_size = alphabet_size
         self.max_word_len = max_word_len
-        self._gens = tuple(self._add(f"x{i + 1}", i) for i in range(num_generators))
+        self._gens = tuple(
+            VarRegistry.add_generator(self, f"x{i + 1}") for i in range(num_generators)
+        )
         # packed steps of _derive_poly: letter -> v -> unit(shifted symbol) - unit(v)
         self._steps: dict[int, dict[int, int]] = {}
 
@@ -268,10 +270,6 @@ class Operator:
     @classmethod
     def word(cls, letters: Iterable[int]) -> "Operator":
         return cls({tuple(letters): Fraction(1)})
-
-    @classmethod
-    def letter(cls, index: int) -> "Operator":
-        return cls.word((index,))
 
     @classmethod
     def from_terms(cls, items: Iterable[tuple[Word, Fraction]]) -> "Operator":

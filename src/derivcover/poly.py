@@ -21,15 +21,14 @@ first, ties broken by comparing exponents variable by variable in index
 order), computed from the unpacked exponents: sorted_terms(), render() and
 mono_key().  At the boundary a monomial is a tuple of (variable index,
 exponent) pairs sorted by index, with all exponents > 0; the empty tuple is
-the constant monomial.  Tuples enter only through from_terms(), which packs
-them (for tests and the suite's coset sampler), and leave only through
-sorted_terms(), render() and the leading-term choice; every computing path
-builds packed ints directly.
+the constant monomial.  Tuples enter only through from_terms(), which builds
+each term from const(), var(), products and powers (for tests and the suite's
+coset sampler), and leave only through sorted_terms(), render() and the
+leading-term choice; every computing path builds packed ints directly.
 
 No field may overflow.  A monomial whose total degree exceeds 2**15 - 1 is
-refused with DegreeGuardError wherever it could arise: when packing, in every
-product and power.  Exact division builds no product of higher degree than
-its dividend.
+refused with DegreeGuardError wherever it could arise: in every product and
+power.  Exact division builds no product of higher degree than its dividend.
 
 A rational function is a pair num/den in fully reduced form: gcd(num, den)
 is constant, den has integer coefficients with content 1 and a positive
@@ -102,7 +101,7 @@ class VarRegistry:
     placed fields alone say which variables exist; the name record is kept
     apart, so a subclass may place a variable without naming it and build
     its name when it is first asked for.  lookup finds the names recorded
-    with _add.
+    by add_generator.
     """
 
     def __init__(self) -> None:
@@ -125,12 +124,10 @@ class VarRegistry:
         return sorted(self._slots)
 
     def add_generator(self, name: str) -> int:
-        return self._add(name, len(self._slots))
-
-    def _add(self, name: str, idx: int) -> int:
-        """Place the variable idx and record its name."""
+        """Place the next variable and record its name."""
         if name in self._by_name:
             raise ValueError(f"variable {name!r} already allocated")
+        idx = len(self._slots)
         self._place(idx)
         self._names[idx] = name
         self._by_name[name] = idx
@@ -156,20 +153,6 @@ class VarRegistry:
     def unit(self, v: int) -> int:
         """The packed monomial v**1."""
         return (1 << self._shift[v]) + 1
-
-    def pack(self, mono: Monomial) -> int:
-        """Packed form of a tuple monomial."""
-        m = deg = 0
-        for v, e in mono:
-            if v not in self._shift:
-                raise ValueError(f"variable index {v} is not allocated")
-            if e < 0:
-                raise ValueError("monomial exponents must be nonnegative")
-            _field_guard(e, "monomial")
-            m += e << self._shift[v]
-            deg += e
-        _field_guard(deg, "monomial")
-        return m + deg
 
     def exponents(self, m: int) -> list[tuple[int, int]]:
         """(variable, exponent) pairs of a packed monomial, in allocation order."""
@@ -237,11 +220,11 @@ class MPoly:
 
     @classmethod
     def from_terms(cls, reg: VarRegistry, items: Iterable[tuple[Monomial, Fraction]]) -> "MPoly":
-        terms: dict[int, Coeff] = {}
-        for m, c in items:
-            key = reg.pack(m)
-            terms[key] = terms.get(key, 0) + Fraction(c)
-        return cls.from_packed(reg, terms)
+        terms = (
+            math.prod((cls.var(reg, v) ** e for v, e in m), start=cls.const(reg, c))
+            for m, c in items
+        )
+        return sum(terms, cls.zero(reg))
 
     @classmethod
     def from_packed(cls, reg: VarRegistry, terms: dict[int, Coeff]) -> "MPoly":
@@ -497,11 +480,6 @@ def _coeff_in(f: MPoly, v: int, k: int) -> MPoly:
     )
 
 
-def _var_power(reg: VarRegistry, v: int, k: int) -> MPoly:
-    _field_guard(k, "power")
-    return MPoly(reg, {(k << reg._shift[v]) + k: 1})
-
-
 def _pseudo_rem(f: MPoly, g: MPoly, v: int) -> MPoly:
     """Pseudo-remainder lc_v(g)^(deg f - deg g + 1) * f mod g, for deg f >= deg g."""
     df = _degree_in(f, v)
@@ -514,7 +492,7 @@ def _pseudo_rem(f: MPoly, g: MPoly, v: int) -> MPoly:
         if dr < dg:
             break
         lr = _coeff_in(r, v, dr)
-        r = lg * r - lr * _var_power(f.reg, v, dr - dg) * g
+        r = lg * r - lr * MPoly.var(f.reg, v) ** (dr - dg) * g
         steps += 1
     # normalize to the full lc power so the subresultant divisions stay exact
     missing = df - dg + 1 - steps
@@ -525,14 +503,19 @@ def _pseudo_rem(f: MPoly, g: MPoly, v: int) -> MPoly:
 
 def _content_pp_in(f: MPoly, v: int) -> tuple[MPoly, MPoly]:
     """Content and primitive part of f viewed as a polynomial in v."""
-    coeffs = [_coeff_in(f, v, k) for k in range(_degree_in(f, v) + 1)]
-    cont = MPoly.zero(f.reg)
-    for c in coeffs:
-        if not c.is_zero():
-            cont = mpoly_gcd(cont, c)
-            if cont.is_one():
-                break
+    cont = _gcd_all(f.reg, (_coeff_in(f, v, k) for k in range(_degree_in(f, v) + 1)))
     return cont, div_exact(f, cont)
+
+
+def _gcd_all(reg: VarRegistry, polys: Iterable[MPoly]) -> MPoly:
+    """gcd of the nonzero polys, folded in their order up to the first 1."""
+    g = MPoly.zero(reg)
+    for p in polys:
+        if p.terms:
+            g = mpoly_gcd(g, p)
+            if g.is_one():
+                break
+    return g
 
 
 def _coeffs_over(f: MPoly, keep: Iterable[int]) -> list[MPoly]:
@@ -641,12 +624,7 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
             # a common factor lives in the shared variables, so it divides
             # every coefficient of pa and pb over their other variables
             parts = _coeffs_over(pa, shared) + _coeffs_over(pb, shared)
-            parts.sort(key=lambda p: len(p.terms))
-            core = MPoly.zero(reg)
-            for p in parts:
-                core = mpoly_gcd(core, p)
-                if core.is_one():
-                    break
+            core = _gcd_all(reg, sorted(parts, key=lambda p: len(p.terms)))
         else:
             v = min(shared)
             ca, fa = _content_pp_in(pa, v)

@@ -27,8 +27,11 @@ ORACLE_SAMPLES = 200  # random polynomial tuples the coset oracle compares
 
 
 def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
-    """Run every certification up to the requested level; returns
-    (name, passed, detail) triples.  Deterministic for a fixed seed."""
+    """Run the certification battery; returns (name, passed, detail) triples,
+    deterministic for a fixed seed.  With c(k) = min(k, max_n): check 1 runs
+    level 1, checks 2, 5 and 6 levels up to c(4) (a word of length L at
+    levels L..c(4)+1), check 3 levels n and n+1 for n <= c(5), and checks 4
+    and 7 levels up to c(3).  So a max_n above 5 runs the checks of 5."""
     if max_n < 1:
         raise ValueError("need max_n >= 1")
     results: list[tuple[str, bool, str]] = []
@@ -50,7 +53,7 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
     def record(name: str, failures: list[str]) -> None:
         results.append((name, not failures, failures[-1] if failures else ""))
 
-    delta = Operator.letter(0)
+    delta = Operator.word((0,))
 
     # 1: level-1 membership is the Leibniz rule
     d1 = member(delta, 1)

@@ -29,7 +29,7 @@ from derivcover.dclass import (
 )
 from derivcover.jets import Operator
 
-D = Operator.letter(0)
+D = Operator.word((0,))
 
 # (defect, symbolically zero) pairs accumulated by criteria 1-6
 _collected = []

@@ -36,7 +36,7 @@ from derivcover.jets import JetContext, Operator
 from derivcover.poly import RatFunc
 
 
-D = Operator.letter(0)
+D = Operator.word((0,))
 DD = Operator.word((0, 0))
 
 

@@ -43,7 +43,7 @@ from derivcover.parse import parse_operator, parse_ratfunc
 from derivcover.poly import _MAX_EXP, MPoly, RatFunc, _coeff_in
 
 
-D = Operator.letter(0)
+D = Operator.word((0,))
 DD = Operator.word((0, 0))
 
 

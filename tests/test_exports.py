@@ -1,10 +1,12 @@
 """The package's public surface: every exported function, class and method
 resolves its type hints.  Annotations are strings under postponed
 evaluation, so a name used in one but never imported shows only here.
-And the converse: no module imports a name it never reads."""
+And the converse: no module imports a name it never reads, and no private
+helper goes unread."""
 
 import ast
 import inspect
+from collections import Counter
 import typing
 from pathlib import Path
 
@@ -64,3 +66,37 @@ def test_no_module_imports_a_name_it_never_reads():
         and (names := _unread_imports(path.read_text(encoding="utf-8")))
     }
     assert len(modules) > 5 and not unread
+
+
+def _private_helpers_without_caller(sources: dict[str, str]) -> list[str]:
+    """Functions, methods and classes whose name starts with one underscore
+    that no code in sources reads outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+
+    def reads(node: ast.AST) -> list[str]:
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        ]
+
+    everywhere = Counter(name for tree in trees.values() for name in reads(tree))
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and everywhere[node.name] == reads(node).count(node.name)
+            ):
+                unread.append(f"{module}:{node.name}")
+    return unread
+
+
+def test_every_private_helper_has_a_caller():
+    sample = "def _used(): pass\ndef _alone(): _alone()\nclass A:\n    def _m(self): pass\n_used()"
+    assert _private_helpers_without_caller({"m.py": sample}) == ["m.py:_alone", "m.py:_m"]
+    modules = sorted(Path(derivcover.__file__).parent.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    assert len(sources) > 5 and _private_helpers_without_caller(sources) == []

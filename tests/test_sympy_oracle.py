@@ -6,9 +6,13 @@ division and gcd against sympy.Poly and sympy.gcd, the reduced form of a
 rational function against sympy.cancel, the Leibniz action against a
 chain rule written here with sympy.diff, and the affine-relation solver
 and the suite's evaluation-rank oracle against the kernel of a coefficient
-matrix that sympy builds and solves.
+matrix that sympy builds and solves.  The verdicts of is_in_dn and
+polarization_defect are checked in concrete models, where the letters are
+vector fields on Q[y1, y2, y3] applied with sympy.diff.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +22,14 @@ sympy = pytest.importorskip("sympy")
 
 from derivcover.cli import run  # noqa: E402
 from derivcover.cosets import affine_relation  # noqa: E402
+from derivcover.dclass import (  # noqa: E402
+    default_test_set,
+    is_in_dn,
+    polarization_defect,
+)
 from derivcover.errors import ExactDivisionError  # noqa: E402
 from derivcover.jets import JetContext, derive  # noqa: E402
-from derivcover.parse import parse_func_list  # noqa: E402
+from derivcover.parse import parse_func_list, parse_operator  # noqa: E402
 from derivcover.poly import (  # noqa: E402
     MPoly,
     RatFunc,
@@ -264,3 +273,111 @@ def test_two_variable_coset_check_matches_sympy_nullspace():
         if relation is not None:
             assert_relation_holds(relation, exprs, texts)
     assert found[True] >= 12 and found[False] >= 12
+
+
+# Concrete models of the free letters: D1..D3 as vector fields
+# sum_j p_ij(y) d/dy_j on Q[y1, y2, y3] with seeded coefficients of degree 2,
+# applied with sympy.diff.  A zero generic defect must vanish in every model
+# (the jets module's witness principle); a nonzero one should not vanish in
+# all three seeded models.
+Y = sympy.symbols("y1:4")
+MONOMIALS_TO_DEGREE_2 = sorted(sympy.itermonomials(Y, 2), key=sympy.default_sort_key)
+
+
+def seeded_poly(rng: random.Random, terms: int) -> "sympy.Poly":
+    """A polynomial of degree 2 with `terms` seeded nonzero integer terms."""
+    while True:
+        chosen = rng.sample(MONOMIALS_TO_DEGREE_2, terms)
+        expr = sum(rng.choice((-2, -1, 1, 2, 3)) * m for m in chosen)
+        p = sympy.Poly(expr, *Y, domain="ZZ")
+        if p.total_degree() == 2:
+            return p
+
+
+class VectorFieldModel:
+    """Letters as seeded vector fields; images of words are memoised per
+    (word, element), an element being given by a hashable key."""
+
+    def __init__(self, seed: int) -> None:
+        rng = random.Random(seed)
+        self.fields = [[seeded_poly(rng, 3) for _ in Y] for _ in range(3)]
+        self.elements = [seeded_poly(rng, 3) for _ in range(4)]
+        self._images: dict = {}
+
+    def apply_word(self, word: tuple, key, p: "sympy.Poly") -> "sympy.Poly":
+        # the rightmost letter applies first
+        if not word:
+            return p
+        if (word, key) not in self._images:
+            inner = self.apply_word(word[1:], key, p)
+            field = self.fields[word[0]]
+            self._images[word, key] = sum(
+                (c * sympy.diff(inner, v) for c, v in zip(field, Y)),
+                sympy.Poly(0, *Y, domain="ZZ"),
+            )
+        return self._images[word, key]
+
+    def apply(self, op, key, p: "sympy.Poly") -> "sympy.Poly":
+        """op applied to p, times the lcm of op's denominators, which keeps
+        every coefficient an integer and does not change which defects are
+        zero."""
+        scale = math.lcm(*(c.denominator for c in op.terms.values()))
+        return sum(
+            (self.apply_word(w, key, p) * int(c * scale) for w, c in op.terms.items()),
+            sympy.Poly(0, *Y, domain="ZZ"),
+        )
+
+    def dn_defect(self, op, n: int) -> "sympy.Poly":
+        """F(a^(n+1)) - sum_{i=1..n} binom(n+1, i) (-1)^(n-i) a^(n+1-i) F(a^i)."""
+        a = self.elements[0]
+        total = self.apply(op, ("power", n + 1), a ** (n + 1))
+        for i in range(1, n + 1):
+            c = math.comb(n + 1, i) * (-1) ** (n - i)
+            total -= a ** (n + 1 - i) * self.apply(op, ("power", i), a**i) * c
+        return total
+
+    def polarization_defect(self, op, n: int) -> "sympy.Poly":
+        """sum over nonempty S of {0..n} of (-1)^(n+1-|S|) a_{not S} F(a_S),
+        with a_S the product of the elements a_t for t in S."""
+        one = sympy.Poly(1, *Y, domain="ZZ")
+        total = sympy.Poly(0, *Y, domain="ZZ")
+        for size in range(1, n + 2):
+            for subset in itertools.combinations(range(n + 1), size):
+                inside = math.prod((self.elements[t] for t in subset), start=one)
+                outside = math.prod(
+                    (self.elements[t] for t in range(n + 1) if t not in subset), start=one
+                )
+                image = self.apply(op, ("product", subset), inside)
+                total += outside * image * (-1) ** (n + 1 - size)
+        return total
+
+
+def test_generic_verdict_matches_vector_field_models():
+    # D1.D2.D3 - D3.D2.D1 is zero once the letters commute, but not in D_1
+    special = [
+        parse_operator(text)
+        for text in (
+            "D1.D2 - D2.D1",
+            "D1.D2.D3 - D2.D1.D3 - D3.D1.D2 + D3.D2.D1",
+            "D1.D1.D1",
+            "D1.D2.D3 - D3.D2.D1",
+        )
+    ]
+    rng = random.Random(20)
+    drawn = rng.sample([(op, n) for op in default_test_set(seed=0) for n in (1, 2, 3)], 18)
+    pairs = drawn + [(op, n) for op in special for n in (1, 2, 3)]
+    models = [VectorFieldModel(seed) for seed in (1, 2, 3)]
+    seen = {True: 0, False: 0}
+    for op, n in pairs:
+        in_dn = is_in_dn(op, n).in_dn
+        values = [model.dn_defect(op, n).is_zero for model in models]
+        assert all(values) if in_dn else not all(values), (op.render(), n)
+        seen[in_dn] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
+    polarized = {True: 0, False: 0}
+    for op, n in pairs[::3]:
+        zero = polarization_defect(op, n).is_zero()
+        values = [model.polarization_defect(op, n).is_zero for model in models]
+        assert all(values) if zero else not all(values), (op.render(), n)
+        polarized[zero] += 1
+    assert polarized[True] >= 3 and polarized[False] >= 3
