@@ -33,7 +33,9 @@ power.  Exact division builds no product of higher degree than its dividend.
 A rational function is a pair num/den in fully reduced form: gcd(num, den)
 is constant, den has integer coefficients with content 1 and a positive
 leading coefficient.  Equality of values is therefore equality of
-representation.
+representation.  Reduction takes gcds by a subresultant sequence; two
+polynomials in one and the same variable take a univariate branch that runs
+it on dense integer coefficient lists.
 
 Each binary operator of MPoly and RatFunc takes an operand of its own class
 only; a number enters arithmetic through const() or scale().
@@ -582,13 +584,67 @@ def _gcd_in_var(a: MPoly, b: MPoly, v: int) -> MPoly:
             h = div_exact(g**delta, h ** (delta - 1))
 
 
+def _int_quo(n: int, d: int) -> int:
+    """n // d, raising ExactDivisionError if d does not divide n."""
+    q, r = divmod(n, d)
+    if r:
+        raise ExactDivisionError("division is not exact")
+    return q
+
+
+def _gcd_univariate(a: MPoly, b: MPoly, v: int) -> MPoly:
+    """gcd of two primitive integer polynomials in v alone, up to a constant.
+
+    The subresultant sequence of _gcd_in_var on dense coefficient lists,
+    leading coefficient first: the contents are constants, and each step
+    works on ints instead of building polynomials.
+    """
+    unit = a.reg.unit(v)  # v**k packs as k * unit
+    fa, fb = (
+        [f.terms.get(k * unit, 0) for k in range(f.total_degree(), -1, -1)]
+        for f in (a, b)
+    )
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    g = h = 1
+    while True:
+        delta = len(fa) - len(fb)
+        # pseudo-remainder lc(fb)^(delta + 1) * fa mod fb
+        lc, r, steps = fb[0], fa, 0
+        while len(r) >= len(fb):
+            lr = r[0]
+            r = [lc * c for c in r[1:]]
+            for i, c in enumerate(fb[1:]):
+                r[i] -= lr * c
+            steps += 1
+            while r and not r[0]:
+                r.pop(0)
+        if not r:
+            break
+        if len(r) == 1:
+            return MPoly.const(a.reg, 1)
+        missing = delta + 1 - steps
+        if missing > 0:
+            scale = lc**missing
+            r = [c * scale for c in r]
+        d = g * h**delta
+        fa, fb = fb, [_int_quo(c, d) for c in r]
+        g = fa[0]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _int_quo(g**delta, h ** (delta - 1))
+    return MPoly(a.reg, {(len(fb) - 1 - k) * unit: c for k, c in enumerate(fb) if c})
+
+
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Greatest common divisor, returned primitive with positive leading coefficient.
 
     Classical content/primitive-part recursion with a subresultant
     pseudo-remainder sequence in the smallest shared variable; monomial
-    content and trial division handle the common easy shapes first.
-    gcd(0, 0) = 0.
+    content and trial division handle the common easy shapes first.  When
+    both parts are in one and the same variable, the sequence runs on their
+    dense integer coefficient lists (_gcd_univariate).  gcd(0, 0) = 0.
     """
     a._check(b)
     if a.is_zero():
@@ -625,6 +681,8 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
             # every coefficient of pa and pb over their other variables
             parts = _coeffs_over(pa, shared) + _coeffs_over(pb, shared)
             core = _gcd_all(reg, sorted(parts, key=lambda p: len(p.terms)))
+        elif len(shared) == 1:
+            core = _gcd_univariate(pa, pb, *shared)
         else:
             v = min(shared)
             ca, fa = _content_pp_in(pa, v)
@@ -761,6 +819,8 @@ class RatFunc:
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise DivisionByZeroError("division by the zero rational function")
+        if self.den.is_one() and other.den.is_one():
+            return RatFunc.make(self.num, other.num)
         return self * RatFunc._normalized(other.den, other.num)
 
     def __pow__(self, k: int) -> "RatFunc":

@@ -41,6 +41,14 @@ def random_nonzero_poly(rng, reg, vars_, **kw) -> MPoly:
             return p
 
 
+def formal_derivative(f: MPoly, v: int) -> MPoly:
+    """d/dv of a polynomial in v alone."""
+    unit = f.reg.unit(v)
+    return MPoly.from_packed(
+        f.reg, {m - unit: c * e for m, c in f.terms.items() for _, e in f.reg.exponents(m)}
+    )
+
+
 def random_ratfunc(rng, reg, vars_, **kw) -> RatFunc:
     num = random_poly(rng, reg, vars_, **kw)
     den = random_nonzero_poly(rng, reg, vars_, **kw)

@@ -74,13 +74,15 @@ def test_ratfunc_expansion():
 
 def test_ratfunc_reduction():
     assert parse_ratfunc("(t^2-1)/(t-1)").render() == "t + 1"
+    # the denominator's leading coefficient is made positive
+    assert parse_ratfunc("1/(1 - t)").render() == "(-1)/(t - 1)"
 
 
 def test_ratfunc_division_by_zero():
-    with pytest.raises(DivisionByZeroError):
-        parse_ratfunc("1/0")
-    with pytest.raises(DivisionByZeroError):
-        parse_ratfunc("t/(u-u)")
+    for text in ("1/0", "t/0", "t/(u-u)"):
+        with pytest.raises(DivisionByZeroError) as err:
+            parse_ratfunc(text)
+        assert str(err.value) == "division by the zero rational function"
 
 
 def test_precedence_fixed_cases():
@@ -141,6 +143,18 @@ def test_coefficient_limit_on_parsed_functions(monkeypatch):
     with pytest.raises(DegreeGuardError) as err:
         parse_ratfunc("9" * 1234)
     assert str(err.value) == f"literal would reach 4100 coefficient bits > limit {MAX_COEFF_BITS}"
+    # 0 and 1 have no coefficient bits to speak of: 0^5000 is refused on its
+    # 1-bit denominator, 1^5000 on its 1-bit numerator
+    for text in ("0^5000", "1^5000"):
+        with pytest.raises(DegreeGuardError) as err:
+            parse_ratfunc(text)
+        assert str(err.value) == f"power would reach 5000 coefficient bits > limit {MAX_COEFF_BITS}"
+    # a Fraction coefficient counts its 2-bit denominator
+    with pytest.raises(DegreeGuardError) as err:
+        parse_ratfunc("(1/2)^2049")
+    assert str(err.value) == f"power would reach 4098 coefficient bits > limit {MAX_COEFF_BITS}"
+    # 3 has 2 bits, so 3^2048 sits exactly at the limit
+    assert parse_ratfunc("3^2048").render() == str(3**2048)
 
     # an oversized constant power is refused before any of it is computed
     def no_power(self, k):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from derivcover.errors import (
     ContextMismatchError,
@@ -15,7 +15,9 @@ from derivcover.errors import (
     ExactDivisionError,
     MissingVariableError,
 )
-from derivcover.jets import JetContext, Operator, apply_operator
+from derivcover import poly
+from derivcover.jets import JetContext, Operator, apply_operator, derive
+from derivcover.parse import parse_ratfunc
 from derivcover.poly import (
     MPoly,
     RatFunc,
@@ -27,7 +29,13 @@ from derivcover.poly import (
     primitive_part,
 )
 
-from helpers import random_fraction, random_nonzero_poly, random_poly, random_ratfunc
+from helpers import (
+    formal_derivative,
+    random_fraction,
+    random_nonzero_poly,
+    random_poly,
+    random_ratfunc,
+)
 
 
 def t_var(reg=None):
@@ -289,3 +297,105 @@ def test_inexact_division_stops_before_outgrowing_the_dividend():
     with pytest.raises(ExactDivisionError):
         div_exact(f, d)
     assert div_exact(f * d, d) == f
+
+
+def dense_poly(reg, v, coeffs):
+    """The polynomial sum of coeffs[k] * v**k."""
+    x = MPoly.var(reg, v)
+    return sum(((x**k).scale(c) for k, c in enumerate(coeffs)), MPoly.zero(reg))
+
+
+# sparse lists, as a non-monic divisor whose remainder loses more than one
+# degree in a step is what makes the pseudo-remainder's lc power matter
+UNIVARIATE_COEFFS = st.lists(
+    st.just(0) | st.integers(-9, 9), min_size=2, max_size=6
+).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["planted", "squared", "coprime"]),
+    UNIVARIATE_COEFFS,
+    UNIVARIATE_COEFFS,
+    UNIVARIATE_COEFFS,
+)
+@example("planted", [1, 0, 0, -1], [1, 0, -3], [1, 2])
+@example("squared", [2, 0, 1], [0, -1], [2, 0, 0, -1])
+def test_univariate_gcd_matches_the_multivariate_sequence(shape, p, q, g):
+    # the dense branch against the sequence on MPoly operands it replaced
+    reg = VarRegistry()
+    t = reg.add_generator("t")
+    P, Q, G = (dense_poly(reg, t, cs) for cs in (p, q, g))
+    if shape == "planted":
+        a, b = P * G, Q * G
+    elif shape == "squared":  # the gcd(den, D(den)) of the quotient rule
+        a = P * G * G
+        b = formal_derivative(a, t)
+    else:  # any common divisor of Q and P*Q + 1 divides 1
+        a, b = P * Q + MPoly.const(reg, 1), Q
+    expected = primitive_part(poly._gcd_in_var(a, b, t))
+    assert mpoly_gcd(a, b) == expected
+    assert mpoly_gcd(b, a) == expected
+    if shape == "coprime":
+        assert expected.is_one()
+
+
+def test_univariate_pairs_skip_the_multivariate_sequence(monkeypatch):
+    real = poly._gcd_in_var
+    reached = []
+
+    def guarded(a, b, v):
+        if len(set(a.variables()) | set(b.variables())) == 1:
+            raise AssertionError("a univariate pair reached _gcd_in_var")
+        reached.append(v)
+        return real(a, b, v)
+
+    monkeypatch.setattr(poly, "_gcd_in_var", guarded)
+    dense = []
+    real_dense = poly._gcd_univariate
+    monkeypatch.setattr(
+        poly, "_gcd_univariate", lambda a, b, v: dense.append(v) or real_dense(a, b, v)
+    )
+    reg = VarRegistry()
+    t = reg.add_generator("t")
+    u = reg.add_generator("u")
+    T = dense_poly(reg, t, [0, 1])
+    one = MPoly.const(reg, 1)
+    assert mpoly_gcd((T + one) ** 2 * (T - one), (T + one) * (T * T + one)) == T + one
+    f = parse_ratfunc("(t^2 - 1)/(t^3 + 2*t^2 + t)", reg)
+    assert f.render() == "(t - 1)/(t^2 + t)"
+    # derive takes gcd(den, D(den)) with den in x1 alone; D1(den) is D1(x1)
+    # times a polynomial in x1, which the monomial split leaves univariate
+    ctx = JetContext(1, 1, 1)
+    x = parse_ratfunc("1/((x1^2 + 1)^2*(x1 - 1))", ctx, allow_new_vars=False)
+    dense.clear()
+    assert derive(ctx, 0, x).render() == (
+        "(-5*x1^2*D1(x1) + 4*x1*D1(x1) - D1(x1))/(x1^8 - 2*x1^7 + 4*x1^6"
+        " - 6*x1^5 + 6*x1^4 - 6*x1^3 + 4*x1^2 - 2*x1 + 1)"
+    )
+    assert dense and not reached
+    # a pair in the same two variables still takes the multivariate sequence
+    U = MPoly.var(reg, u)
+    common = T * U + one
+    assert mpoly_gcd(common * (T + U), common * (T - U + one)) == common
+    assert reached
+
+
+def test_quotient_of_polynomials_is_one_reduction():
+    # a / b equals a times the inverse of b, on pairs with a common factor
+    # and with a negative leading coefficient
+    rng = random.Random(21)
+    reg = VarRegistry()
+    vars_ = tuple(reg.add_generator(n) for n in ("a", "b"))
+    for i in range(60):
+        a = random_poly(rng, reg, vars_, fractions=i % 3 == 0)
+        b = random_nonzero_poly(rng, reg, vars_)
+        if i % 2:
+            g = random_nonzero_poly(rng, reg, vars_, max_terms=2)
+            a, b = a * g, b * g
+        if i % 4 < 2:
+            b = -b
+        fa, fb = RatFunc.from_poly(a), RatFunc.from_poly(b)
+        quot = fa / fb
+        inv = fa * RatFunc._normalized(fb.den, fb.num)
+        assert (quot.num, quot.den) == (inv.num, inv.den)

@@ -40,6 +40,7 @@ from derivcover.poly import (  # noqa: E402
 from derivcover.suite import _has_relation  # noqa: E402
 
 from helpers import (  # noqa: E402
+    formal_derivative,
     random_nonzero_poly,
     random_poly,
     random_ratfunc_factored_den,
@@ -98,6 +99,26 @@ def test_exact_division_and_gcd_match_sympy():
         assert sympy.Poly(to_sympy(div_exact(ag, g)), *gens) == q
         ours = to_sympy(mpoly_gcd(ag, bg))
         theirs = sympy.gcd(to_sympy(ag), to_sympy(bg))
+        unit = sympy.cancel(ours / theirs)
+        assert unit.is_number and unit != 0
+
+
+def test_univariate_gcd_matches_sympy():
+    # seven pairs each with a planted common factor, with a squared factor
+    # next to its derivative, and drawn independently
+    rng = random.Random(17)
+    reg = VarRegistry()
+    t = reg.add_generator("t")
+    kw = dict(max_terms=4, max_exp=5, span=9)
+    for i in range(21):
+        a, b, g = (random_nonzero_poly(rng, reg, (t,), **kw) for _ in range(3))
+        if i % 3 == 0:
+            a, b = a * g, b * g
+        elif i % 3 == 1:
+            a = a * g * g
+            b = formal_derivative(a, t) if a.total_degree() else g
+        ours = to_sympy(mpoly_gcd(a, b))
+        theirs = sympy.gcd(to_sympy(a), to_sympy(b))
         unit = sympy.cancel(ours / theirs)
         assert unit.is_number and unit != 0
 
