@@ -4,23 +4,23 @@ Exit codes: 0 = holds, 1 = refuted, 2 = error (including usage errors).
 Reports are byte-identical across runs for fixed seed and inputs; the
 timing_ms entry is written as 0 for that reason.
 
-The command's words at the head of argv pick its own parser, which reads
-the rest of argv.  That is the same parser object, given the same words,
-that the full tree of top, group and command parsers would reach, so it
-parses and fails alike.  The full tree stays for what a command's parser
-cannot answer alone: argv that names no command, which needs the top or
-group usage and help, and argv with words left over, which the top parser
-reports as unrecognized arguments.
+A command's argv is read against its option table (COMMANDS, OPTIONS):
+the command's words, then `--name value` or `--name=value` pairs.  The
+reader gives the namespace that the argparse tree would give, and it
+refuses any argv where the tree might answer otherwise.  What it refuses
+(help, usage errors, abbreviations, a value that argparse would take for
+an option) goes to the full tree, which is imported and built only then,
+so that its help and usage errors keep their text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 from . import cosets, cover, suite
@@ -192,7 +192,7 @@ def _suite(args) -> Report:
 class Command(NamedTuple):
     help: str
     options: tuple[str, ...]  # keys of OPTIONS
-    body: Callable[[argparse.Namespace], Report]
+    body: Callable[[SimpleNamespace], Report]
     reach: int = 0  # levels above --n the command certifies
 
 
@@ -263,7 +263,9 @@ GROUP_HELP = {
     "coset": "affine-relation certifications",
 }
 
+# Every command takes --format; the rest are named in Command.options.
 OPTIONS = {
+    "format": {"choices": ("text", "json"), "default": "text", "help": "report format"},
     "n": {"type": int, "required": True, "help": "class level, 1 or more"},
     "op": {"required": True, "help": "operator expression, e.g. 'D1.D1'"},
     "funcs": {
@@ -288,16 +290,17 @@ OPTIONS = {
 
 
 @cache
-def _build_parser() -> tuple[
-    argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]
-]:
-    """The full parser tree and each command's own parser within it, keyed
-    by the command's words; built once per process: parsing leaves them
-    unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
+def _flags(name: str) -> dict[str, tuple[str, dict]]:
+    """The command's flags, --format first, each with its OPTIONS key and entry."""
+    keys = ("format", *COMMANDS[name].options)
+    return {f"--{key.replace('_', '-')}": (key, OPTIONS[key]) for key in keys}
+
+
+@cache
+def _build_parser():
+    """The full parser tree of top, group and command parsers; built once
+    per process: parsing leaves it unchanged."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="derivcover",
@@ -310,41 +313,83 @@ def _build_parser() -> tuple[
     )
     sub = parser.add_subparsers(dest="group", required=True)
     actions = {}
-    leaves = {}
     for name, cmd in COMMANDS.items():
         group, _, action = name.partition(" ")
         if action and group not in actions:
             g = sub.add_parser(group, help=GROUP_HELP[group])
             actions[group] = g.add_subparsers(dest="action", required=True)
         owner = actions[group] if action else sub
-        c = owner.add_parser(action or group, parents=[common], help=cmd.help)
-        for option in cmd.options:
-            c.add_argument(f"--{option.replace('_', '-')}", **OPTIONS[option])
+        c = owner.add_parser(action or group, help=cmd.help)
+        for flag, (_, spec) in _flags(name).items():
+            c.add_argument(flag, **spec)
         c.set_defaults(command=name)
-        leaves[tuple(name.split())] = c
-    return parser, leaves
+    return parser
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """argv parsed as the full tree parses it, less the group and action
-    names that nothing reads."""
-    tree, leaves = _build_parser()
+_HEADS = {tuple(name.split()): name for name in COMMANDS}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argv as the tree parses it, if it is a command's words and then only
+    --name value or --name=value pairs of that command's flags; else None.
+
+    A separate value that starts with '-' is read only when it holds a
+    space and starts with neither '-h' nor '--': argparse takes any other
+    for an option.  After '=', only the value '--' is refused: argparse
+    reads --op=-- as an empty list."""
     for words in (tuple(argv[:2]), tuple(argv[:1])):
-        if words in leaves:
-            args, extra = leaves[words].parse_known_args(argv[len(words):])
-            if not extra:
-                return args
+        if words in _HEADS:
             break
-    return tree.parse_args(argv)
+    else:
+        return None
+    name = _HEADS[words]
+    flags = _flags(name)
+    args = {key: spec.get("default") for key, spec in flags.values() if not spec.get("required")}
+    rest = iter(argv[len(words):])
+    for word in rest:
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            return None
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("-") and (
+                " " not in value or value.startswith(("-h", "--"))
+            ):
+                return None
+        elif value == "--":
+            return None
+        key, spec = flags[flag]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[key] = value
+    if len(args) < len(flags):  # a required flag is missing
+        return None
+    return SimpleNamespace(**args, command=name)
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """argv parsed as the full tree parses it, less the group and action
+    names that nothing reads.  The reader answers every argv it can; the
+    tree answers the rest: help, usage errors and the argv that argparse
+    reads in ways the reader does not."""
+    args = _read(argv)
+    if args is None:
+        parsed = vars(_build_parser().parse_args(argv))
+        args = SimpleNamespace(**{k: v for k, v in parsed.items() if k not in ("group", "action")})
+    return args
 
 
 def run(argv: Sequence[str]) -> Report:
     """Execute one CLI invocation and return its report.
 
-    The words after the command's own go straight to its parser, not
-    through the top and group parsers, which would hand it the same words.
-    The full tree parses argv that names no command or leaves words over,
-    so that its usage errors and help keep their text."""
+    A call that reads as the command's words and its flag pairs never
+    touches argparse; help and usage errors come from the full tree and
+    exit through SystemExit, as argparse does."""
     args = _parse(argv)
     cmd = COMMANDS[args.command]
     given = {option: str(getattr(args, option)) for option in cmd.options}

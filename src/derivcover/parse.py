@@ -19,8 +19,9 @@ it, may pass total degree MAX_DEGREE, and no literal or + - * / result may
 hold a coefficient of more than MAX_COEFF_BITS bits (in its numerator or
 denominator).  A power is refused before it is computed, when the exponent
 times the base's degree passes MAX_DEGREE or the exponent times the base's
-largest coefficient bit length passes MAX_COEFF_BITS.  A function list is
-one text of such functions separated by commas.
+largest coefficient bit length passes MAX_COEFF_BITS; a numerator or
+denominator of no term, or of one term with coefficient 1 or -1, counts no
+bits.  A function list is one text of such functions separated by commas.
 
 In both grammars a run of digits read as a number holds at most MAX_DIGITS
 digits, and only ASCII whitespace may stand between tokens.
@@ -196,17 +197,20 @@ def parse_ratfunc(
 def _degree_guard(value: RatFunc, what: str, exp: int = 1) -> RatFunc:
     """Refuse value**exp if its numerator or denominator would pass MAX_DEGREE
     in total degree or MAX_COEFF_BITS in coefficient bits (exp times the
-    largest bit length of a coefficient's numerator or denominator)."""
+    largest bit length of a coefficient's numerator or denominator).  A part
+    with no term, or with one term of coefficient 1 or -1, is charged no
+    bits: its coefficient stays 0, 1 or -1 in every power."""
     for part in (value.num, value.den):
         degree = part.total_degree() * exp
         if degree > MAX_DEGREE:
             raise DegreeGuardError(
                 f"{what} would reach total degree {degree} > limit {MAX_DEGREE}"
             )
+        coeffs = part.terms.values()
+        if len(coeffs) < 2 and all(abs(c) == 1 for c in coeffs):
+            continue
         bits = exp * max(
-            (max(c.numerator.bit_length(), c.denominator.bit_length())
-             for c in part.terms.values()),
-            default=0,
+            max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs
         )
         if bits > MAX_COEFF_BITS:
             raise DegreeGuardError(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
+from math import factorial
 
 from hypothesis import strategies as st
 
@@ -145,3 +148,56 @@ def function_list_text() -> st.SearchStrategy[str]:
     """A --funcs value: one to three functions, comma separated."""
     funcs = st.lists(_function_text(3), min_size=1, max_size=3).map(",".join)
     return _with_foreign_char(funcs)
+
+
+# ---------------------------------------------------------------------------
+# The Eulerian order oracle.  Letters act on products by the Leibniz rule, so
+# words form the tensor algebra with the unshuffle coproduct.  Its Eulerian
+# idempotents split an operator into parts pi_r, each made of symmetrized
+# products of r Lie elements (Reutenauer, Free Lie Algebras, 1993, ch. 3;
+# Loday, Expo. Math. 1994), and the order-n class is the sum of the images
+# of pi_1 ... pi_n.  The oracle reads words as tuples and coefficients as
+# Fractions: it shares no code with jets, partitions or polynomials.
+
+
+def _set_partitions(k: int):
+    """The partitions of range(k), as tuples of ascending blocks."""
+    if k == 0:
+        yield ()
+        return
+    for blocks in _set_partitions(k - 1):
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + (block + (k - 1,),) + blocks[i + 1:]
+        yield blocks + ((k - 1,),)
+
+
+@cache
+def _stirling_first(j: int, r: int) -> int:
+    """The signed Stirling number of the first kind s(j, r)."""
+    if j == 0 or r == 0:
+        return int(j == r)
+    return _stirling_first(j - 1, r - 1) - (j - 1) * _stirling_first(j - 1, r)
+
+
+def eulerian_order(terms: dict[tuple[int, ...], Fraction]) -> int | None:
+    """The largest r with pi_r(op) != 0 for the operator with these
+    word: coefficient terms; 0 for the zero operator, and None when
+    pi_0(op) != 0, that is, when op has an identity term and lies in no class.
+
+    pi_r(w) = sum_j s(j, r)/j! S_j(w), where S_j(w) sums, over the
+    surjections of w's positions onto 1..j, the concatenation of the
+    subwords that the surjection sends to 1, ..., j.  A surjection is a set
+    partition of the positions with its blocks in some order."""
+    parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for w, c in terms.items():
+        for blocks in _set_partitions(len(w)):
+            j = len(blocks)
+            weights = [(r, Fraction(s, factorial(j)))
+                       for r in range(j + 1) if (s := _stirling_first(j, r))]
+            for order in permutations(blocks):
+                u = tuple(w[i] for block in order for i in block)
+                for r, weight in weights:
+                    part = parts.setdefault(r, {})
+                    part[u] = part.get(u, 0) + c * weight
+    orders = [r for r, part in parts.items() if any(part.values())]
+    return None if 0 in orders else max(orders, default=0)

@@ -5,15 +5,16 @@ import ast
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from derivcover import errors
+from derivcover import cli, errors
 from derivcover.cli import COMMANDS, Report, _build_parser, _parse, run
 from derivcover.dclass import is_in_dn
 
@@ -546,7 +547,7 @@ def test_level_and_operator_commands_contract(command, op, n):
 
 
 # ---------------------------------------------------------------------------
-# Parsing: each command's own parser against the full tree
+# Parsing: the reader against the full tree
 
 
 def tree_leaves(parser, words=()):
@@ -562,16 +563,49 @@ def tree_leaves(parser, words=()):
 
 
 def test_each_command_has_its_own_parser():
-    tree, leaves = _build_parser()
-    assert leaves == tree_leaves(tree)  # the tree's own objects, by identity
+    leaves = tree_leaves(_build_parser())
     assert sorted(leaves) == sorted(tuple(name.split()) for name in COMMANDS)
     for words, leaf in leaves.items():
         assert leaf.get_default("command") == " ".join(words)
-    # run looks up two words, then one: no lone command may shadow a group
+    # the reader looks up two words, then one: no lone command may shadow a group
     assert all(len(words) <= 2 for words in leaves)
     lone = {words[0] for words in leaves if len(words) == 1}
     assert not lone & {words[0] for words in leaves if len(words) == 2}
     assert run(("cover", "psi-check")).verdict == "holds"
+
+
+# Values that every command reads without argparse, and that keep the suite short
+READ_VALUES = {"--n": "1", "--op": "D1.D2", "--funcs": "t,t^2", "--max-n": "2", "--seed": "1"}
+
+
+def test_a_call_that_reads_never_builds_the_tree(monkeypatch):
+    def no_tree():
+        raise AssertionError("the argparse tree was built")
+
+    monkeypatch.setattr(cli, "_build_parser", no_tree)
+    for command, options in COMMAND_OPTIONS.items():
+        pairs = [(o, READ_VALUES[o]) for o in sorted(options)] + [("--format", "json")]
+        apart = command.split() + [w for pair in pairs for w in pair]
+        joined = command.split() + [f"{o}={v}" for o, v in pairs]
+        for argv in (apart, joined):
+            report = run(argv)
+            assert (report.command, report.format) == (command, "json"), argv
+            assert report.verdict in ("holds", "refuted"), argv
+
+
+def test_a_cold_call_never_imports_argparse():
+    code = (
+        "import sys; from derivcover import cli; cli.run(['cover', 'psi-check']); "
+        "print('argparse' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def parse_outcome(parse, argv):
@@ -586,11 +620,27 @@ def parse_outcome(parse, argv):
 
 # An argv is a head of command words, whole or run together into one word;
 # in some examples the command's required options; some of its options
-# with valid values; in some examples one word or pair from ARGV_PARTS, and
-# one from ARGV_ANYWHERE inserted at any position.
+# with valid values or in other SPELLINGS; in some examples one word or pair
+# from ARGV_PARTS, and one from ARGV_ANYWHERE inserted at any position.
 REQUIRED = ("--n", "--op", "--funcs")
 ARGV_HEADS = [*COMMANDS, "dn", "cover", "bogus", "dn bogus", ""]
-VALUES = {"--n": "2", "--op": "D1.D1", "--funcs": "t,t^2", "--max-n": "3", "--seed": "2"}
+VALUES = {
+    "--n": "2", "--op": "D1.D1", "--funcs": "t,t^2", "--max-n": "3", "--seed": "2",
+    "--format": "json",
+}
+# Other spellings of an option and its value: the '=' form, also empty, with
+# a leading '-' or '--' (which argparse reads as an empty list); a separate
+# value that starts with '-', with a space (a value) or with '-h' (help); a
+# negative, empty or unknown value; an option given twice.
+SPELLINGS = {
+    "--n": [["--n=2"], ["--n="], ["--n", "-1"], ["--n", "1", "--n", "2"]],
+    "--op": [
+        ["--op=-D1.D2"], ["--op=--"], ["--op", "-2*D1 + D2"], ["--op", "-h D1"], ["--op", ""],
+    ],
+    "--funcs": [["--funcs", "-t, t^2"]],
+    "--seed": [["--seed=-3"]],
+    "--format": [["--format=json"], ["--format=xml"]],
+}
 ARGV_PARTS = [
     ["--n", "x"], ["--n"], ["--op=-D1"], ["--op", "-D1"], ["--o", "D1.D2"], ["--max", "x"],
     ["--m", "4"], ["--f", "t"], ["--s=1"], ["--format", "xml"], ["--fo=text"], ["extra"], ["-x"],
@@ -605,8 +655,9 @@ def cli_argv(draw):
     options = sorted(COMMAND_OPTIONS.get(head, ()))
     if draw(st.booleans()):
         argv += [w for o in options if o in REQUIRED for w in (o, VALUES[o])]
-    valid = [[o, VALUES[o]] for o in options] + [["--format", "json"]]
-    for part in draw(st.lists(st.sampled_from(valid), max_size=2)):
+    flags = [*options, "--format"]
+    valid = [[o, VALUES[o]] for o in flags] + [s for o in flags for s in SPELLINGS.get(o, ())]
+    for part in draw(st.lists(st.sampled_from(valid), max_size=3)):
         argv += part
     for extra in (ARGV_PARTS, ARGV_ANYWHERE):
         if draw(st.booleans()):
@@ -617,9 +668,21 @@ def cli_argv(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(cli_argv())
+# each SPELLINGS shape in an argv that is whole but for it
+@example(["dn", "check", "--n=2", "--op=-D1.D2", "--format=json"])
+@example(["dn", "check", "--n=", "--op", "D1"])
+@example(["dn", "check", "--n", "2", "--op=--"])
+@example(["dn", "polarize", "--op", "-2*D1 + D2", "--n", "1"])
+@example(["cover", "ring-check", "--op", "-h D1"])
+@example(["cover", "ring-check", "--op", ""])
+@example(["coset", "check", "--funcs", "-t, t^2"])
+@example(["dn", "subsum", "--n", "-1"])
+@example(["dn", "separation", "--n", "1", "--n", "2"])
+@example(["suite", "--seed=-3", "--max-n", "2"])
+@example(["suite", "--format=xml"])
+@example(["dn", "check", "--n", "2"])
 def test_command_parser_parses_as_the_full_tree(argv):
-    tree, _ = _build_parser()
-    full = parse_outcome(tree.parse_args, argv)
+    full = parse_outcome(_build_parser().parse_args, argv)
     if isinstance(full, dict):
         full = {k: v for k, v in full.items() if k not in ("group", "action")}
     assert parse_outcome(_parse, argv) == full

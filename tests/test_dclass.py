@@ -42,6 +42,8 @@ from derivcover.jets import JetContext, Operator, apply_operator
 from derivcover.parse import parse_operator, parse_ratfunc
 from derivcover.poly import _MAX_EXP, MPoly, RatFunc, _coeff_in
 
+from helpers import eulerian_order
+
 
 D = Operator.word((0,))
 DD = Operator.word((0, 0))
@@ -528,3 +530,45 @@ def test_polarization_defect_matches_the_expansion(seed):
             ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
             expected = expanded_polarization_defect(ctx, op, n).render()
             assert polarization_defect(op, n).render() == expected, (op.render(), n)
+
+
+# ---------------------------------------------------------------------------
+# The Eulerian order oracle (tests/helpers.py) against is_in_dn
+
+
+def assert_eulerian_membership(op):
+    """At every level from 1 to the longest word length + 1, op is in the
+    order-n class exactly when pi_0(op) = 0 and pi_r(op) = 0 for all r > n."""
+    order = eulerian_order(op.terms)
+    for n in range(1, op.max_word_len() + 2):
+        expected = order is not None and order <= n
+        assert is_in_dn(op, n).in_dn == expected, (op.render(), n, order)
+    return order
+
+
+@st.composite
+def operators_on_3_letters(draw):
+    """Up to two terms over D1-D3 with words of length 1 to 4, and in some
+    examples the commutator of two words of length 1 or 2, whose longest
+    words cancel once the letters commute."""
+    word = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
+    terms = draw(st.lists(st.tuples(word, st.integers(-3, 3).filter(bool)), max_size=2))
+    if draw(st.booleans()):
+        short = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+        a, b = draw(short), draw(short)
+        terms += [(a + b, 1), (b + a, -1)]
+    return Operator.from_terms(terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(operators_on_3_letters())
+def test_membership_matches_the_eulerian_order(op):
+    assert_eulerian_membership(op)
+
+
+def test_eulerian_order_of_commutators_and_an_identity_term():
+    commutator = parse_operator("D1.D2 - D2.D1")
+    triple = parse_operator("D1.D2.D3 - D2.D1.D3 - D3.D1.D2 + D3.D2.D1")
+    identity = Operator.from_terms([((), 1), ((0,), 1)])
+    orders = [assert_eulerian_membership(op) for op in (commutator, triple, identity)]
+    assert orders == [1, 1, None]
