@@ -15,9 +15,7 @@ so that its help and usage errors keep their text.
 
 from __future__ import annotations
 
-import json
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from types import SimpleNamespace
@@ -50,20 +48,20 @@ both grammars:      a number has at most {MAX_DIGITS} digits.
 """
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """One certification outcome, serializable as text or JSON.
 
     detail_lines and format steer text output only; they are not part of the
-    serialized report.
+    serialized report.  A report is immutable: run fills in its command and
+    params with _replace.
     """
 
     verdict: str  # holds | refuted | error
     defect: str | None = None
     witness: dict | None = None
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, str] = {}  # shared by every report that takes it; never mutated
     command: str = ""
-    detail_lines: list[str] = field(default_factory=list)
+    detail_lines: Sequence[str] = ()
     format: str = "text"
 
     @property
@@ -71,6 +69,8 @@ class Report:
         return {"holds": 0, "refuted": 1, "error": 2}[self.verdict]
 
     def to_json(self) -> str:
+        import json  # only here: a text report never needs it
+
         doc = {
             "schema": 1,
             "command": self.command,
@@ -132,15 +132,16 @@ def _dn_separation(args) -> Report:
     op = Operator.word((0,) * (args.n + 1))
     report = _membership(is_in_dn(op, args.n))
     upper = is_in_dn(op, args.n + 1)
-    report.params = {
-        "op": op.render(),
-        "in_next_level": "true" if upper.in_dn else "false",
-        "reading": (
-            "refuted means the (n+1)-fold iterate escapes the order-n class, "
-            "the expected strictness"
-        ),
-    }
-    return report
+    return report._replace(
+        params={
+            "op": op.render(),
+            "in_next_level": "true" if upper.in_dn else "false",
+            "reading": (
+                "refuted means the (n+1)-fold iterate escapes the order-n class, "
+                "the expected strictness"
+            ),
+        }
+    )
 
 
 def _dn_subsum(args) -> Report:
@@ -404,12 +405,10 @@ def run(argv: Sequence[str]) -> Report:
                 f"{args.max_n} (--max-n)"
             )
         report = cmd.body(args)
-        report.params = params | report.params
+        params |= report.params
     except Exception as exc:  # every failure is an error report, never a traceback
-        report = Report("error", f"{type(exc).__name__}: {exc}", params=given)
-    report.command = args.command
-    report.format = args.format
-    return report
+        report, params = Report("error", f"{type(exc).__name__}: {exc}"), given
+    return report._replace(params=params, command=args.command, format=args.format)
 
 
 def main(argv: Sequence[str] | None = None) -> None:

@@ -12,17 +12,16 @@ A tuple with no such relation is free of proper additive cosets defined over
 the algebraic numbers.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed, so NamedTuple type hints resolve.
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ContextMismatchError
 from .poly import RatFunc, VarRegistry, div_exact, mpoly_gcd
 
 
-@dataclass(frozen=True)
-class AffineRelation:
+class AffineRelation(NamedTuple):
     """A nontrivial relation sum(coefficients[i] * f[i]) = constant,
     normalized so the first nonzero coefficient is 1."""
 

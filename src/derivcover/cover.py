@@ -13,10 +13,10 @@ Base and fiber live in one shared jet context so the checks below are exact
 polynomial identities at generic points.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed, so NamedTuple type hints resolve.
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dclass import MembershipVerdict, _check_level, level_combination
 from .errors import ArityError, ContextMismatchError
@@ -24,8 +24,7 @@ from .jets import JetContext, Operator, apply_operator
 from .poly import RatFunc
 
 
-@dataclass(frozen=True)
-class CoverPoint:
+class CoverPoint(NamedTuple):
     """An element of the pair sort: (base, fiber)."""
 
     base: RatFunc
@@ -123,10 +122,9 @@ def generic_rn_point(op: Operator, n: int) -> list[CoverPoint]:
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     alpha = ctx.gen(0)
     fibers = [ctx.gen(i) for i in range(1, n + 1)]
-    points = [CoverPoint(alpha ** (i + 1), fibers[i]) for i in range(n)]
-    last = CoverPoint(alpha ** (n + 1), level_combination(n, alpha, fibers))
-    points.append(last)
-    return points
+    fibers.append(level_combination(n, alpha, fibers))
+    bases = alpha.num.powers(n + 1)[1:]
+    return [CoverPoint(RatFunc.from_poly(b), fiber) for b, fiber in zip(bases, fibers)]
 
 
 def rn_preservation(op: Operator, n: int) -> MembershipVerdict:

@@ -28,25 +28,19 @@ F(s^(n+1)) by the Leibniz action and compares it with the closed form of the
 polarized defect.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed, so NamedTuple type hints resolve.
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, permutations, product
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ContextMismatchError, PreconditionError
 from .jets import JetContext, Operator, Word, apply_operator, odd_component
-from .poly import (
-    Coeff,
-    MPoly,
-    RatFunc,
-    fraction_sum,
-)
+from .poly import Coeff, MPoly, RatFunc, add_product, fraction_sum
 
 DEFAULT_LEVEL_CAP = 6
 PROBE_POINTS = 5  # probe_zero: seeded points per identity test
@@ -55,8 +49,7 @@ TEST_SET_LETTERS = 3  # default_test_set: letters of the word alphabet
 Assignment = dict[int, Fraction]
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     """Outcome of a class-membership check.
 
     in_dn is true exactly when the defect is the zero fraction; for nonzero
@@ -68,7 +61,7 @@ class MembershipVerdict:
     witness: tuple[Assignment, Fraction] | None = None
 
     @classmethod
-    def of(cls, defect: RatFunc) -> MembershipVerdict:
+    def of(cls, defect: RatFunc) -> "MembershipVerdict":
         """The verdict a defect gives, with a witness when it is nonzero."""
         if defect.is_zero():
             return cls(True, defect)
@@ -89,12 +82,21 @@ def level_coefficient(n: int, i: int) -> int:
 def level_combination(n: int, a: RatFunc, values: Iterable[RatFunc]) -> RatFunc:
     """sum_{i=1..n} binom(n+1, i) (-1)^(n-i) a^(n+1-i) v_i: the right side of
     the order-n identity, with v_i in the place of F(a^i).  Takes the n values
-    one at a time, so a generator of them keeps only one alive."""
+    one at a time, so a generator of them keeps only one alive.
+
+    When a is a polynomial, its powers come from one chain of products, and
+    the terms with a polynomial v_i are added into one packed dict; the
+    others, and every term when a is a fraction, are added one at a time."""
+    powers = a.num.powers(n) if a.den.is_one() else None
+    terms: dict[int, Coeff] = {}
     total = RatFunc.zero(a.reg)
     for i, value in zip(range(1, n + 1), values, strict=True):
         c = level_coefficient(n, i)
-        total = total + (a ** (n + 1 - i) * value).scale(c)
-    return total
+        if powers is not None and value.den.is_one():
+            add_product(terms, powers[n + 1 - i], value.num, c)
+        else:
+            total = total + (a ** (n + 1 - i) * value).scale(c)
+    return total + RatFunc.from_poly(MPoly.from_packed(a.reg, terms))
 
 
 def _partitions(word: Word, blocks: int) -> Iterator[tuple[Word, ...]]:

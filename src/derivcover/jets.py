@@ -34,7 +34,6 @@ e.g. `D2.D1(x3)`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Iterable
 
@@ -44,7 +43,8 @@ from .errors import (
     UnknownLetterError,
     WordLengthError,
 )
-from .poly import MPoly, RatFunc, VarRegistry, div_exact, mpoly_gcd, signed_sum
+from .poly import Coeff, MPoly, RatFunc, VarRegistry, add_scaled, canonical
+from .poly import div_exact, mpoly_gcd, signed_sum
 
 Word = tuple[int, ...]
 
@@ -135,10 +135,8 @@ class JetContext(VarRegistry):
                 own |= {u * m + letter + 1 for u in own}
             numbers |= own
         numbers.discard(0)
-        for number in sorted(numbers):
-            for v in range(k * number, k * number + k):
-                if v not in self._shift:
-                    self._place(v)
+        new = [v for u in sorted(numbers) for v in range(k * u, k * u + k) if v not in self]
+        self._place(*new)
 
     def name(self, v: int) -> str:
         """Name of symbol v, e.g. `D2.D1(x3)`.  A jet's name is built from
@@ -252,15 +250,18 @@ def odd_component(f: MPoly) -> MPoly:
 
 
 class Operator:
-    """Formal linear combination of derivation words with Fraction coefficients.
+    """Formal linear combination of derivation words with rational
+    coefficients.
 
     The empty word acts as the identity map.  Operators are immutable and
-    canonical: no zero coefficients, no duplicate words.
+    canonical: no zero coefficients, no duplicate words, and each
+    coefficient in the polynomial layer's canonical type (an int when
+    integral, a Fraction otherwise).
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Word, Fraction]) -> None:
+    def __init__(self, terms: dict[Word, Coeff]) -> None:
         self.terms = terms
 
     @classmethod
@@ -269,13 +270,15 @@ class Operator:
 
     @classmethod
     def word(cls, letters: Iterable[int]) -> "Operator":
-        return cls({tuple(letters): Fraction(1)})
+        return cls({tuple(letters): 1})
 
     @classmethod
-    def from_terms(cls, items: Iterable[tuple[Word, Fraction]]) -> "Operator":
-        terms: dict[Word, Fraction] = {}
+    def from_terms(cls, items: Iterable[tuple[Word, Coeff]]) -> "Operator":
+        """The sum of the terms c*w; a coefficient is anything Fraction
+        takes."""
+        terms: dict[Word, Coeff] = {}
         for w, c in items:
-            acc = terms.get(w, Fraction(0)) + Fraction(c)
+            acc = canonical(terms.get(w, 0) + canonical(c))
             if acc == 0:
                 terms.pop(w, None)
             else:
@@ -322,11 +325,32 @@ class Operator:
 
 def apply_operator(ctx: JetContext, op: Operator, f: RatFunc) -> RatFunc:
     """Apply a linear combination of words to f; additive and linear in both
-    slots.  A word applies its rightmost letter first."""
-    total = RatFunc.zero(ctx)
+    slots.  A word applies its rightmost letter first, and the words go in
+    Operator.words() order.
+
+    On a polynomial the images are packed: each word's letters run through
+    the Leibniz rule on packed terms, and the scaled images are added into
+    one dict.  A fraction takes derive's quotient rule letter by letter, and
+    its images are added one at a time."""
+    if not f.den.is_one():
+        total = RatFunc.zero(ctx)
+        for w in op.words():
+            image = f
+            for letter in reversed(w):
+                image = derive(ctx, letter, image)
+            total = total + image.scale(op.terms[w])
+        return total
+    if f.reg is not ctx and op.terms:
+        # what the fold above raises at the first word: in adding the
+        # identity's image across registries, or in derive
+        raise ContextMismatchError(
+            "polynomials belong to different registries" if () in op.terms
+            else "rational function does not live in this context"
+        )
+    terms: dict[int, Coeff] = {}
     for w in op.words():
-        image = f
+        image = f.num
         for letter in reversed(w):
-            image = derive(ctx, letter, image)
-        total = total + image.scale(op.terms[w])
-    return total
+            image = _derive_poly(ctx, letter, image)
+        add_scaled(terms, image, op.terms[w])
+    return RatFunc.from_poly(MPoly.from_packed(ctx, terms))

@@ -29,12 +29,12 @@ digits, and only ASCII whitespace may stand between tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegreeGuardError, ParseError
 from .jets import Operator
-from .poly import RatFunc, VarRegistry
+from .poly import Coeff, RatFunc, VarRegistry
 
 # Deeper parentheses would exhaust the interpreter stack in the recursive descent.
 MAX_NESTING = 100
@@ -47,8 +47,7 @@ MAX_COEFF_BITS = 4096
 MAX_DIGITS = 2000
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -119,21 +118,20 @@ class _Cursor:
 def parse_operator(text: str) -> Operator:
     """Parse operator text into canonical form (duplicates merged, zeros dropped)."""
     cur = _Cursor(_tokenize(text, letters=True))
-    terms: list[tuple[tuple[int, ...], Fraction]] = []
-    sign = Fraction(1)
+    terms: list[tuple[tuple[int, ...], Coeff]] = []
+    sign = 1
     if cur.peek().kind == "-":
         cur.next()
-        sign = Fraction(-1)
+        sign = -1
     terms.append(_operator_term(cur, sign))
     while cur.peek().kind in ("+", "-"):
-        sep = cur.next()
-        sign = Fraction(1) if sep.kind == "+" else Fraction(-1)
+        sign = 1 if cur.next().kind == "+" else -1
         terms.append(_operator_term(cur, sign))
     cur.expect("end")
     return Operator.from_terms(terms)
 
 
-def _operator_term(cur: _Cursor, sign: Fraction) -> tuple[tuple[int, ...], Fraction]:
+def _operator_term(cur: _Cursor, sign: int) -> tuple[tuple[int, ...], Coeff]:
     coeff = sign
     tok = cur.peek()
     if tok.kind in ("int", "-"):
@@ -146,7 +144,8 @@ def _operator_term(cur: _Cursor, sign: Fraction) -> tuple[tuple[int, ...], Fract
     return tuple(word), coeff
 
 
-def _rational(cur: _Cursor) -> Fraction:
+def _rational(cur: _Cursor) -> Coeff:
+    """An int, or a Fraction that Operator.from_terms makes canonical."""
     sign = 1
     if cur.peek().kind == "-":
         cur.next()
@@ -157,13 +156,13 @@ def _rational(cur: _Cursor) -> Fraction:
         cur.next()
         if cur.peek().kind != "int":
             cur.i = save
-            return Fraction(sign * num)
+            return sign * num
         den_tok = cur.next()
         den = int(den_tok.text)
         if den == 0:
             raise ParseError("rational with zero denominator", den_tok.pos)
         return Fraction(sign * num, den)
-    return Fraction(sign * num)
+    return sign * num
 
 
 def _letter(cur: _Cursor) -> int:

@@ -82,6 +82,11 @@ def _norm(c: Coeff) -> Coeff:
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+def canonical(c) -> Coeff:
+    """Any number that Fraction takes, as a coefficient in canonical type."""
+    return c if type(c) is int else _norm(Fraction(c))
+
+
 def _quo(c: Coeff, d: Coeff) -> Coeff:
     """Exact quotient of two coefficients in canonical type."""
     if type(c) is int and type(d) is int:
@@ -135,14 +140,18 @@ class VarRegistry:
         self._by_name[name] = idx
         return idx
 
-    def _place(self, idx: int) -> None:
-        """Give the variable idx the next exponent field."""
-        if idx in self._shift:
-            raise ValueError(f"variable index {idx} already allocated")
-        shift = (len(self._slots) + 1) * _FIELD_BITS
-        self._slots.append(idx)
-        self._shift[idx] = shift
-        self._guard |= 1 << (shift + _FIELD_BITS - 1)
+    def _place(self, *indices: int) -> None:
+        """Give each variable of indices the next exponent field, in order."""
+        slots, shifts = self._slots, self._shift
+        try:
+            for idx in indices:
+                if idx in shifts:
+                    raise ValueError(f"variable index {idx} already allocated")
+                slots.append(idx)
+                shifts[idx] = len(slots) * _FIELD_BITS
+        finally:
+            # the top bit of every two-byte field: the total degree's and each variable's
+            self._guard = int.from_bytes(b"\x00\x80" * (len(slots) + 1), "little")
 
     def name(self, v: int) -> str:
         return self._names[v]
@@ -211,7 +220,7 @@ class MPoly:
     @classmethod
     def const(cls, reg: VarRegistry, c) -> "MPoly":
         if type(c) is not int:
-            c = _norm(Fraction(c))
+            c = canonical(c)
         return cls(reg, {0: c} if c else {})
 
     @classmethod
@@ -344,9 +353,21 @@ class MPoly:
             result = result._times(self)
         return result
 
+    def powers(self, k: int) -> list["MPoly"]:
+        """[self**0, ..., self**k], refused as self**k is: a single term
+        raised directly, any other polynomial by one chain of products."""
+        _field_guard(self.total_degree() * k, "power")
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return [MPoly(self.reg, {m * j: c**j}) for j in range(k + 1)]
+        out = [MPoly.const(self.reg, 1)]
+        for _ in range(k):
+            out.append(out[-1]._times(self))
+        return out
+
     def scale(self, c) -> "MPoly":
         if type(c) is not int:
-            c = _norm(Fraction(c))
+            c = canonical(c)
         if c == 0:
             return MPoly.zero(self.reg)
         if c == 1:
@@ -855,6 +876,28 @@ class RatFunc:
         return f"RatFunc({self.render()})"
 
 
+def add_scaled(terms: dict[int, Coeff], p: MPoly, c: Coeff) -> None:
+    """Add c*p into packed terms in place.  The sums may be zero or integral
+    Fractions; MPoly.from_packed makes them canonical."""
+    get = terms.get
+    for m, v in p.terms.items():
+        terms[m] = get(m, 0) + c * v
+
+
+def add_product(terms: dict[int, Coeff], p: MPoly, q: MPoly, c: Coeff) -> None:
+    """Add c*p*q into packed terms in place; refused as p*q is."""
+    if p.terms and q.terms:
+        p._check(q)
+        _field_guard(p.total_degree() + q.total_degree(), "product")
+        get = terms.get
+        items = q.terms.items()
+        for mp, cp in p.terms.items():
+            cp *= c
+            for mq, cq in items:
+                m = mp + mq
+                terms[m] = get(m, 0) + cp * cq
+
+
 def fraction_sum(reg: VarRegistry, pairs: Iterable[tuple[MPoly, MPoly]]) -> RatFunc:
     """Sum of the fractions num/den over reg, given as pairs that need not be
     reduced.
@@ -868,9 +911,6 @@ def fraction_sum(reg: VarRegistry, pairs: Iterable[tuple[MPoly, MPoly]]) -> RatF
     for num, den in pairs:
         if num.reg is not reg or den.reg is not reg:
             raise ContextMismatchError("summands belong to different registries")
-        terms = groups.setdefault(frozenset(den.terms.items()), (den, {}))[1]
-        get = terms.get
-        for m, c in num.terms.items():
-            terms[m] = get(m, 0) + c
+        add_scaled(groups.setdefault(frozenset(den.terms.items()), (den, {}))[1], num, 1)
     sums = [RatFunc.make(MPoly.from_packed(reg, t), den) for den, t in groups.values()]
     return reduce(RatFunc.__add__, sums) if sums else RatFunc.zero(reg)

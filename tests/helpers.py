@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 from hypothesis import strategies as st
 
+from derivcover.jets import derive
 from derivcover.poly import MPoly, RatFunc, VarRegistry
 
 
@@ -84,6 +85,33 @@ def random_ratfunc_factored_den(rng, reg, vars_, **kw) -> RatFunc:
             factor = random_poly(rng, reg, vars_, max_terms=2, max_exp=1, span=3)
         den = den * factor ** rng.randint(1, 2)
     return RatFunc.make(num, den)
+
+
+# ---------------------------------------------------------------------------
+# The folds that apply_operator and level_combination compute as packed sums
+# on polynomials: each step is one RatFunc operation, and each sum is formed
+# by adding one term at a time.
+
+
+def folded_apply_operator(ctx, op, f: RatFunc) -> RatFunc:
+    """op(f): each word's letters derived one at a time (rightmost first),
+    and the scaled images added in Operator.words() order."""
+    total = RatFunc.zero(ctx)
+    for w in op.words():
+        image = f
+        for letter in reversed(w):
+            image = derive(ctx, letter, image)
+        total = total + image.scale(op.terms[w])
+    return total
+
+
+def folded_level_combination(n: int, a: RatFunc, values) -> RatFunc:
+    """sum_{i=1..n} binom(n+1, i) (-1)^(n-i) (a^(n+1-i) v_i), one term at a
+    time."""
+    total = RatFunc.zero(a.reg)
+    for i, value in zip(range(1, n + 1), values, strict=True):
+        total = total + (a ** (n + 1 - i) * value).scale(comb(n + 1, i) * (-1) ** (n - i))
+    return total
 
 
 # ---------------------------------------------------------------------------

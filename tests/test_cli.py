@@ -593,10 +593,13 @@ def test_a_call_that_reads_never_builds_the_tree(monkeypatch):
             assert report.verdict in ("holds", "refuted"), argv
 
 
-def test_a_cold_call_never_imports_argparse():
+def cold_imports(modules: list[str]) -> str:
+    """Those of modules that a fresh interpreter imports to run
+    `cover psi-check` and render its text report, as printed there."""
     code = (
-        "import sys; from derivcover import cli; cli.run(['cover', 'psi-check']); "
-        "print('argparse' in sys.modules)"
+        "import sys; before = set(sys.modules); from derivcover import cli; "
+        "cli.run(['cover', 'psi-check']).to_text(); "
+        f"print(sorted(set(sys.modules) - before & {set(modules)!r}))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -605,7 +608,17 @@ def test_a_cold_call_never_imports_argparse():
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_a_cold_call_never_imports_argparse():
+    assert cold_imports(["argparse"]) == "[]\n"
+
+
+def test_a_cold_text_report_imports_neither_dataclasses_nor_json():
+    # json is imported by Report.to_json alone
+    assert cold_imports(["dataclasses", "json"]) == "[]\n"
 
 
 def parse_outcome(parse, argv):
@@ -618,28 +631,35 @@ def parse_outcome(parse, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
-# An argv is a head of command words, whole or run together into one word;
-# in some examples the command's required options; some of its options
-# with valid values or in other SPELLINGS; in some examples one word or pair
-# from ARGV_PARTS, and one from ARGV_ANYWHERE inserted at any position.
+# An argv is a command's words, its required options and up to three of its
+# options, with valid values or in other SPELLINGS.  One example in three is
+# then broken once: its words are run together or replaced by OTHER_HEADS,
+# which name no command, its required options are left out, or one word or
+# pair is inserted after the head words: a REFUSED spelling of one of its
+# options, or one from ARGV_PARTS or ARGV_ANYWHERE.
 REQUIRED = ("--n", "--op", "--funcs")
-ARGV_HEADS = [*COMMANDS, "dn", "cover", "bogus", "dn bogus", ""]
+OTHER_HEADS = ["dn", "cover", "bogus", "dn bogus", ""]
 VALUES = {
     "--n": "2", "--op": "D1.D1", "--funcs": "t,t^2", "--max-n": "3", "--seed": "2",
     "--format": "json",
 }
-# Other spellings of an option and its value: the '=' form, also empty, with
-# a leading '-' or '--' (which argparse reads as an empty list); a separate
-# value that starts with '-', with a space (a value) or with '-h' (help); a
-# negative, empty or unknown value; an option given twice.
+# Other spellings of an option and its value that the reader answers: the
+# '=' form, also with a leading '-'; a separate value that starts with '-'
+# and holds a space; an empty value; an option given twice.
 SPELLINGS = {
-    "--n": [["--n=2"], ["--n="], ["--n", "-1"], ["--n", "1", "--n", "2"]],
-    "--op": [
-        ["--op=-D1.D2"], ["--op=--"], ["--op", "-2*D1 + D2"], ["--op", "-h D1"], ["--op", ""],
-    ],
+    "--n": [["--n=2"], ["--n", "1", "--n", "2"]],
+    "--op": [["--op=-D1.D2"], ["--op", "-2*D1 + D2"], ["--op", ""]],
     "--funcs": [["--funcs", "-t, t^2"]],
     "--seed": [["--seed=-3"]],
-    "--format": [["--format=json"], ["--format=xml"]],
+    "--format": [["--format=json"]],
+}
+# Spellings that the reader leaves to the tree: an empty, negative or unknown
+# value; '--' after '=' (which argparse reads as an empty list); a separate
+# value that starts with '-h' (help).
+REFUSED = {
+    "--n": [["--n="], ["--n", "-1"]],
+    "--op": [["--op=--"], ["--op", "-h D1"]],
+    "--format": [["--format=xml"]],
 }
 ARGV_PARTS = [
     ["--n", "x"], ["--n"], ["--op=-D1"], ["--op", "-D1"], ["--o", "D1.D2"], ["--max", "x"],
@@ -650,25 +670,34 @@ ARGV_ANYWHERE = [["--"], ["-h"], ["--help"], ["--he"]]
 
 @st.composite
 def cli_argv(draw):
-    head = draw(st.sampled_from(ARGV_HEADS))
-    argv = [head] if " " in head and draw(st.booleans()) else head.split()
-    options = sorted(COMMAND_OPTIONS.get(head, ()))
-    if draw(st.booleans()):
-        argv += [w for o in options if o in REQUIRED for w in (o, VALUES[o])]
+    head = draw(st.sampled_from(list(COMMANDS)))
+    head_words = head.split()
+    options = sorted(COMMAND_OPTIONS[head])
+    required = [w for o in options if o in REQUIRED for w in (o, VALUES[o])]
     flags = [*options, "--format"]
     valid = [[o, VALUES[o]] for o in flags] + [s for o in flags for s in SPELLINGS.get(o, ())]
-    for part in draw(st.lists(st.sampled_from(valid), max_size=3)):
-        argv += part
-    for extra in (ARGV_PARTS, ARGV_ANYWHERE):
-        if draw(st.booleans()):
-            i = draw(st.integers(0, len(argv)))
-            argv[i:i] = draw(st.sampled_from(extra))
-    return argv
+    rest = [w for part in draw(st.lists(st.sampled_from(valid), max_size=3)) for w in part]
+    inserted = {
+        "refused": [s for o in flags for s in REFUSED.get(o, ())],
+        "part": ARGV_PARTS,
+        "anywhere": ARGV_ANYWHERE,
+    }
+    breaks = ["joined", "other head", "no required", *inserted]
+    broken = draw(st.sampled_from(breaks)) if draw(st.integers(0, 2)) == 0 else None
+    if broken == "joined":
+        head_words = [head]
+    elif broken == "other head":
+        head_words = draw(st.sampled_from(OTHER_HEADS)).split()
+    rest = ([] if broken == "no required" else required) + rest
+    if broken in inserted:
+        i = draw(st.integers(0, len(rest)))
+        rest[i:i] = draw(st.sampled_from(inserted[broken]))
+    return head_words + rest
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(cli_argv())
-# each SPELLINGS shape in an argv that is whole but for it
+# each SPELLINGS and REFUSED shape in an argv that is whole but for it
 @example(["dn", "check", "--n=2", "--op=-D1.D2", "--format=json"])
 @example(["dn", "check", "--n=", "--op", "D1"])
 @example(["dn", "check", "--n", "2", "--op=--"])

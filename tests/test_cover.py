@@ -194,9 +194,27 @@ def test_preservation_examples():
 
 
 def test_preservation_agrees_with_membership():
-    for op in default_test_set():
+    # the fiber defect after the move is the order-n defect at x1: the same
+    # verdict and text, and a witness that agrees on x1 and every jet and
+    # sets the fiber generators x2 ... x_{n+1} to 0
+    ops = {op.render(): op for seed in (0, 1, 2) for op in default_test_set(seed=seed)}
+    for op in ops.values():
         for n in (1, 2, 3, 4):
-            assert rn_preservation(op, n).in_dn == is_in_dn(op, n).in_dn
+            moved, member = rn_preservation(op, n), is_in_dn(op, n)
+            assert moved.in_dn == member.in_dn, (op.render(), n)
+            assert moved.defect.render() == member.defect.render(), (op.render(), n)
+            if member.witness is None:
+                assert moved.witness is None
+                continue
+            named = [
+                ({v.defect.reg.name(s): x for s, x in v.witness[0].items()}, v.witness[1])
+                for v in (moved, member)
+            ]
+            (at_moved, value), (at_member, member_value) = named
+            fibers = {f"x{i}" for i in range(2, n + 2)}
+            assert {name: at_moved[name] for name in fibers} == dict.fromkeys(fibers, 0)
+            assert {k: x for k, x in at_moved.items() if k not in fibers} == at_member
+            assert value == member_value
 
 
 def test_psi_recovers_the_product():

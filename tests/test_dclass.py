@@ -434,6 +434,9 @@ def test_one_pass_placement_matches_jet_by_jet(k, words, filled):
     one_pass, by_jet = contexts
     assert one_pass.symbols() == by_jet.symbols()
     assert one_pass._slots == by_jet._slots
+    # the guard bit of every field, the total degree's included
+    fields = range(one_pass.num_vars + 1)
+    assert one_pass._guard == by_jet._guard == sum(1 << (16 * s + 15) for s in fields)
     assert [one_pass.name(v) for v in one_pass._slots] == [by_jet.name(v) for v in by_jet._slots]
     # a second pass places nothing, and no index is placed twice
     one_pass.place_subwords(op.terms)

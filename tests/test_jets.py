@@ -21,7 +21,7 @@ from derivcover.jets import (
     odd_component,
     word_name,
 )
-from derivcover.parse import parse_ratfunc
+from derivcover.parse import parse_operator, parse_ratfunc
 from derivcover.poly import MPoly, RatFunc, mpoly_gcd, primitive_part
 
 from helpers import random_fraction, random_poly, random_ratfunc_small_den
@@ -345,3 +345,22 @@ def test_operator_canonicalization():
     assert op.words() == [(0,), (1, 0)]
     assert op.alphabet_span() == 2
     assert op.max_word_len() == 2
+
+
+def test_operator_coefficients_are_ints_when_integral():
+    # the polynomial layer's canonical type: int when integral, else Fraction
+    half = Fraction(1, 2)
+    cases = [
+        (parse_operator("2*D1 - D2 + 3/2*D3"), {(0,): 2, (1,): -1, (2,): Fraction(3, 2)},
+         "2*D1 - D2 + 3/2*D3"),
+        (Operator.word((0, 1)), {(0, 1): 1}, "D1.D2"),
+        (Operator.from_terms([((0,), Fraction(4, 2))]), {(0,): 2}, "2*D1"),
+        (Operator.from_terms([((0,), half), ((1,), half), ((0,), half)]), {(0,): 1, (1,): half},
+         "D1 + 1/2*D2"),
+    ]
+    for op, terms, text in cases:
+        assert op.terms == terms
+        assert [type(c) for c in op.terms.values()] == [type(c) for c in terms.values()]
+        # equal to the operator built from Fractions, and rendered as before
+        assert op == Operator({w: Fraction(c) for w, c in terms.items()})
+        assert op.render() == text
