@@ -331,7 +331,15 @@ def apply_operator(ctx: JetContext, op: Operator, f: RatFunc) -> RatFunc:
     On a polynomial the images are packed: each word's letters run through
     the Leibniz rule on packed terms, and the scaled images are added into
     one dict.  A fraction takes derive's quotient rule letter by letter, and
-    its images are added one at a time."""
+    its images are added one at a time.  An f from another context is
+    refused unless op is zero."""
+    if f.reg is not ctx and op.terms:
+        # what a fold of a polynomial's images raises at the first word: in
+        # adding the identity's image across registries, or in derive
+        raise ContextMismatchError(
+            "polynomials belong to different registries" if () in op.terms
+            else "rational function does not live in this context"
+        )
     if not f.den.is_one():
         total = RatFunc.zero(ctx)
         for w in op.words():
@@ -340,13 +348,6 @@ def apply_operator(ctx: JetContext, op: Operator, f: RatFunc) -> RatFunc:
                 image = derive(ctx, letter, image)
             total = total + image.scale(op.terms[w])
         return total
-    if f.reg is not ctx and op.terms:
-        # what the fold above raises at the first word: in adding the
-        # identity's image across registries, or in derive
-        raise ContextMismatchError(
-            "polynomials belong to different registries" if () in op.terms
-            else "rational function does not live in this context"
-        )
     terms: dict[int, Coeff] = {}
     for w in op.words():
         image = f.num

@@ -33,9 +33,10 @@ power.  Exact division builds no product of higher degree than its dividend.
 A rational function is a pair num/den in fully reduced form: gcd(num, den)
 is constant, den has integer coefficients with content 1 and a positive
 leading coefficient.  Equality of values is therefore equality of
-representation.  Reduction takes gcds by a subresultant sequence; two
-polynomials in one and the same variable take a univariate branch that runs
-it on dense integer coefficient lists.
+representation.  Reduction takes gcds by one subresultant sequence, run on
+dense coefficient lists in one variable: the coefficients are ints when both
+polynomials are in that variable alone, and polynomials in the other
+variables otherwise.
 
 Each binary operator of MPoly and RatFunc takes an operand of its own class
 only; a number enters arithmetic through const() or scale().
@@ -249,6 +250,9 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_one(self) -> bool:
         return self.terms == {0: 1}
@@ -488,46 +492,22 @@ def div_exact(f: MPoly, d: MPoly) -> MPoly:
     return MPoly(f.reg, q)
 
 
-def _degree_in(f: MPoly, v: int) -> int:
-    field = f.reg._shift[v].__rrshift__  # m -> m >> shift
-    return max(map(_MAX_EXP.__and__, map(field, f.terms)), default=0)
-
-
-def _coeff_in(f: MPoly, v: int, k: int) -> MPoly:
-    """Coefficient of v**k in f, as a polynomial in the remaining variables."""
+def _dense_in(f: MPoly, v: int) -> list[MPoly]:
+    """Coefficients of f in v, leading first: each is a polynomial in the
+    other variables."""
     shift = f.reg._shift[v]
-    strip = (k << shift) + k
-    return MPoly(
-        f.reg,
-        {m - strip: c for m, c in f.terms.items() if (m >> shift) & _MAX_EXP == k},
-    )
+    parts: dict[int, dict[int, Coeff]] = {}
+    for m, c in f.terms.items():
+        k = (m >> shift) & _MAX_EXP
+        parts.setdefault(k, {})[m - (k << shift) - k] = c
+    return [MPoly(f.reg, parts.get(k, {})) for k in range(max(parts), -1, -1)]
 
 
-def _pseudo_rem(f: MPoly, g: MPoly, v: int) -> MPoly:
-    """Pseudo-remainder lc_v(g)^(deg f - deg g + 1) * f mod g, for deg f >= deg g."""
-    df = _degree_in(f, v)
-    dg = _degree_in(g, v)
-    lg = _coeff_in(g, v, dg)
-    r = f
-    steps = 0
-    while not r.is_zero():
-        dr = _degree_in(r, v)
-        if dr < dg:
-            break
-        lr = _coeff_in(r, v, dr)
-        r = lg * r - lr * MPoly.var(f.reg, v) ** (dr - dg) * g
-        steps += 1
-    # normalize to the full lc power so the subresultant divisions stay exact
-    missing = df - dg + 1 - steps
-    if missing > 0 and not r.is_zero():
-        r = r * lg**missing
-    return r
-
-
-def _content_pp_in(f: MPoly, v: int) -> tuple[MPoly, MPoly]:
-    """Content and primitive part of f viewed as a polynomial in v."""
-    cont = _gcd_all(f.reg, (_coeff_in(f, v, k) for k in range(_degree_in(f, v) + 1)))
-    return cont, div_exact(f, cont)
+def _content_pp_in(coeffs: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
+    """Content and primitive part of a polynomial in one variable, given by
+    its dense coefficients (_dense_in)."""
+    cont = _gcd_all(coeffs[0].reg, reversed(coeffs))
+    return cont, [div_exact(c, cont) for c in coeffs]
 
 
 def _gcd_all(reg: VarRegistry, polys: Iterable[MPoly]) -> MPoly:
@@ -579,32 +559,6 @@ def _divides(d: MPoly, f: MPoly) -> bool:
         return False
 
 
-def _gcd_in_var(a: MPoly, b: MPoly, v: int) -> MPoly:
-    """Subresultant pseudo-remainder sequence in the main variable v.
-
-    Both inputs must have positive v-degree and content 1 with respect to v;
-    returns their gcd up to a constant factor.
-    """
-    if _degree_in(a, v) < _degree_in(b, v):
-        a, b = b, a
-    one = MPoly.const(a.reg, 1)
-    g = one
-    h = one
-    while True:
-        delta = _degree_in(a, v) - _degree_in(b, v)
-        r = _pseudo_rem(a, b, v)
-        if r.is_zero():
-            return _content_pp_in(b, v)[1]
-        if _degree_in(r, v) == 0:
-            return one
-        a, b = b, div_exact(r, g * h**delta)
-        g = _coeff_in(a, v, _degree_in(a, v))
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = div_exact(g**delta, h ** (delta - 1))
-
-
 def _int_quo(n: int, d: int) -> int:
     """n // d, raising ExactDivisionError if d does not divide n."""
     q, r = divmod(n, d)
@@ -613,21 +567,18 @@ def _int_quo(n: int, d: int) -> int:
     return q
 
 
-def _gcd_univariate(a: MPoly, b: MPoly, v: int) -> MPoly:
-    """gcd of two primitive integer polynomials in v alone, up to a constant.
+def _subresultant(fa: list, fb: list, quo) -> list:
+    """Last nonzero remainder, a constant one undivided, of the subresultant
+    sequence (Collins 1967; Brown and Traub 1971) of two polynomials in one
+    variable with positive degree and content 1; their gcd is its primitive part.
 
-    The subresultant sequence of _gcd_in_var on dense coefficient lists,
-    leading coefficient first: the contents are constants, and each step
-    works on ints instead of building polynomials.
+    Each polynomial is a dense list of coefficients, leading first.  The
+    coefficients are ints, with quo = _int_quo, or polynomials in the other
+    variables, with quo = div_exact; either kind is false when zero.
     """
-    unit = a.reg.unit(v)  # v**k packs as k * unit
-    fa, fb = (
-        [f.terms.get(k * unit, 0) for k in range(f.total_degree(), -1, -1)]
-        for f in (a, b)
-    )
     if len(fa) < len(fb):
         fa, fb = fb, fa
-    g = h = 1
+    g = h = fa[0] ** 0  # the coefficients' one
     while True:
         delta = len(fa) - len(fb)
         # pseudo-remainder lc(fb)^(delta + 1) * fa mod fb
@@ -640,32 +591,32 @@ def _gcd_univariate(a: MPoly, b: MPoly, v: int) -> MPoly:
             steps += 1
             while r and not r[0]:
                 r.pop(0)
-        if not r:
-            break
-        if len(r) == 1:
-            return MPoly.const(a.reg, 1)
+        if len(r) < 2:  # fb divides fa, or the pair is coprime
+            return r or fb
         missing = delta + 1 - steps
         if missing > 0:
             scale = lc**missing
             r = [c * scale for c in r]
         d = g * h**delta
-        fa, fb = fb, [_int_quo(c, d) for c in r]
+        fa, fb = fb, [quo(c, d) for c in r]
         g = fa[0]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _int_quo(g**delta, h ** (delta - 1))
-    return MPoly(a.reg, {(len(fb) - 1 - k) * unit: c for k, c in enumerate(fb) if c})
+            h = quo(g**delta, h ** (delta - 1))
 
 
 def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Greatest common divisor, returned primitive with positive leading coefficient.
 
-    Classical content/primitive-part recursion with a subresultant
-    pseudo-remainder sequence in the smallest shared variable; monomial
-    content and trial division handle the common easy shapes first.  When
-    both parts are in one and the same variable, the sequence runs on their
-    dense integer coefficient lists (_gcd_univariate).  gcd(0, 0) = 0.
+    Monomial content and trial division handle the common easy shapes
+    first.  Two parts in the same variables then run one subresultant
+    sequence (_subresultant) on their dense coefficient lists in the
+    smallest of them, v.  In v alone the coefficients are ints, read from
+    the packed terms.  In more variables they are polynomials in the others:
+    each part is split into its content and primitive part in v, and the
+    gcd is the gcd of the contents times the primitive part in v of the
+    sequence's last remainder.  gcd(0, 0) = 0.
     """
     a._check(b)
     if a.is_zero():
@@ -702,14 +653,26 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
             # every coefficient of pa and pb over their other variables
             parts = _coeffs_over(pa, shared) + _coeffs_over(pb, shared)
             core = _gcd_all(reg, sorted(parts, key=lambda p: len(p.terms)))
-        elif len(shared) == 1:
-            core = _gcd_univariate(pa, pb, *shared)
         else:
             v = min(shared)
-            ca, fa = _content_pp_in(pa, v)
-            cb, fb = _content_pp_in(pb, v)
-            cg = mpoly_gcd(ca, cb)
-            core = cg * _gcd_in_var(fa, fb, v)
+            unit = reg.unit(v)  # v**k packs as k * unit
+            if len(shared) == 1:
+                # integer coefficients, read straight from the packed terms
+                last = _subresultant(
+                    *([f.terms.get(k * unit, 0) for k in range(f.total_degree(), -1, -1)]
+                      for f in (pa, pb)),
+                    _int_quo,
+                )
+                core = MPoly(reg, {(len(last) - 1 - k) * unit: c for k, c in enumerate(last) if c})
+            else:
+                ca, fa = _content_pp_in(_dense_in(pa, v))
+                cb, fb = _content_pp_in(_dense_in(pb, v))
+                cg = mpoly_gcd(ca, cb)
+                _, last = _content_pp_in(_subresultant(fa, fb, div_exact))
+                core = cg * MPoly(reg, {
+                    m + (len(last) - 1 - k) * unit: c
+                    for k, p in enumerate(last) for m, c in p.terms.items()
+                })
     if mono:
         core = MPoly(reg, {m + mono: c for m, c in core.terms.items()})
     return primitive_part(core)

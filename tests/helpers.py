@@ -14,6 +14,19 @@ from derivcover.jets import derive
 from derivcover.poly import MPoly, RatFunc, VarRegistry
 
 
+def to_sympy(p: MPoly):
+    """p as a sympy expression in symbols named as p's variables."""
+    import sympy
+
+    total = sympy.Integer(0)
+    for mono, c in p.sorted_terms():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in mono:
+            term *= sympy.Symbol(p.reg.name(v)) ** e
+        total += term
+    return total
+
+
 def random_fraction(rng: random.Random, span: int = 9, max_den: int = 5) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 

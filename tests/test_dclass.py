@@ -40,7 +40,7 @@ from derivcover.errors import (
 )
 from derivcover.jets import JetContext, Operator, apply_operator
 from derivcover.parse import parse_operator, parse_ratfunc
-from derivcover.poly import _MAX_EXP, MPoly, RatFunc, _coeff_in
+from derivcover.poly import _MAX_EXP, MPoly, RatFunc, _dense_in
 
 from helpers import eulerian_order
 
@@ -217,8 +217,7 @@ def chain_witness(defect):
     down, and every symbol is searched from 0 on the way back up."""
 
     def lowest_coefficient(f, v):
-        shift = f.reg._shift[v]
-        return _coeff_in(f, v, min((m >> shift) & _MAX_EXP for m in f.terms))
+        return next(c for c in reversed(_dense_in(f, v)) if c)
 
     def univariate_at(f, v, values):
         shifts = f.reg._shift

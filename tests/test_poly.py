@@ -3,6 +3,7 @@ gcd reduction and the degree guard."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +36,7 @@ from helpers import (
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
+    to_sympy,
 )
 
 
@@ -314,48 +316,64 @@ UNIVARIATE_COEFFS = st.lists(
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(
-    st.sampled_from(["planted", "squared", "coprime"]),
+    st.sampled_from(["planted", "squared", "coprime", "bivariate"]),
     UNIVARIATE_COEFFS,
     UNIVARIATE_COEFFS,
     UNIVARIATE_COEFFS,
 )
 @example("planted", [1, 0, 0, -1], [1, 0, -3], [1, 2])
 @example("squared", [2, 0, 1], [0, -1], [2, 0, 0, -1])
-def test_univariate_gcd_matches_the_multivariate_sequence(shape, p, q, g):
-    # the dense branch against the sequence on MPoly operands it replaced
+def test_subresultant_gcd_matches_sympy(shape, p, q, g):
+    sympy = pytest.importorskip("sympy")
     reg = VarRegistry()
     t = reg.add_generator("t")
+    u = reg.add_generator("u")
     P, Q, G = (dense_poly(reg, t, cs) for cs in (p, q, g))
+    one, U = MPoly.const(reg, 1), MPoly.var(reg, u)
     if shape == "planted":
         a, b = P * G, Q * G
     elif shape == "squared":  # the gcd(den, D(den)) of the quotient rule
         a = P * G * G
         b = formal_derivative(a, t)
-    else:  # any common divisor of Q and P*Q + 1 divides 1
-        a, b = P * Q + MPoly.const(reg, 1), Q
-    expected = primitive_part(poly._gcd_in_var(a, b, t))
-    assert mpoly_gcd(a, b) == expected
-    assert mpoly_gcd(b, a) == expected
+    elif shape == "coprime":  # any common divisor of Q and P*Q + 1 divides 1
+        a, b = P * Q + one, Q
+    else:
+        # G + t*u times U + P and Q*U + 1: P and Q have positive degree, so
+        # neither cofactor divides the other, and both parts hold t and u
+        common = G + dense_poly(reg, t, [0, 1]) * U
+        a, b = common * (U + P), common * (Q * U + one)
+    with mock.patch.object(poly, "_subresultant", wraps=poly._subresultant) as run:
+        ours = mpoly_gcd(a, b)
+    assert mpoly_gcd(b, a) == ours
+    unit = sympy.cancel(to_sympy(ours) / sympy.gcd(to_sympy(a), to_sympy(b)))
+    assert unit.is_number and unit != 0
     if shape == "coprime":
-        assert expected.is_one()
+        assert ours.is_one()
+    if shape == "bivariate":  # the sequence ran on polynomial coefficients
+        assert any(type(call.args[0][0]) is MPoly for call in run.call_args_list)
 
 
-def test_univariate_pairs_skip_the_multivariate_sequence(monkeypatch):
-    real = poly._gcd_in_var
-    reached = []
+def test_subresultant_remainders_match_the_textbook_sequence():
+    # Knuth's pair (TAOCP vol. 2, 4.6.1) times x + 2: its subresultant
+    # sequence ends in 260708; a degree drop of 2 makes the divisor h matter
+    f1 = [1, 2, 1, 2, -3, -9, 2, 18, -1, -10]  # (x^8 + x^6 - 3x^4 - 3x^3 + 8x^2 + 2x - 5)(x + 2)
+    f2 = [3, 6, 5, 10, -4, -17, 3, 42]  # (3x^6 + 5x^4 - 4x^2 - 9x + 21)(x + 2)
+    assert poly._subresultant(f1, f2, poly._int_quo) == [260708, 521416]
+    # the same sequence on coefficients that are constant polynomials
+    reg = VarRegistry()
+    p1, p2, last = ([MPoly.const(reg, c) for c in cs] for cs in (f1, f2, [260708, 521416]))
+    assert poly._subresultant(p1, p2, div_exact) == last
 
-    def guarded(a, b, v):
-        if len(set(a.variables()) | set(b.variables())) == 1:
-            raise AssertionError("a univariate pair reached _gcd_in_var")
-        reached.append(v)
-        return real(a, b, v)
 
-    monkeypatch.setattr(poly, "_gcd_in_var", guarded)
-    dense = []
-    real_dense = poly._gcd_univariate
-    monkeypatch.setattr(
-        poly, "_gcd_univariate", lambda a, b, v: dense.append(v) or real_dense(a, b, v)
-    )
+def test_univariate_pairs_run_the_sequence_on_ints(monkeypatch):
+    real = poly._subresultant
+    kinds = []
+
+    def recorded(fa, fb, quo):
+        kinds.append(type(fa[0]))
+        return real(fa, fb, quo)
+
+    monkeypatch.setattr(poly, "_subresultant", recorded)
     reg = VarRegistry()
     t = reg.add_generator("t")
     u = reg.add_generator("u")
@@ -368,17 +386,20 @@ def test_univariate_pairs_skip_the_multivariate_sequence(monkeypatch):
     # times a polynomial in x1, which the monomial split leaves univariate
     ctx = JetContext(1, 1, 1)
     x = parse_ratfunc("1/((x1^2 + 1)^2*(x1 - 1))", ctx, allow_new_vars=False)
-    dense.clear()
+    assert set(kinds) == {int}
+    kinds.clear()
     assert derive(ctx, 0, x).render() == (
         "(-5*x1^2*D1(x1) + 4*x1*D1(x1) - D1(x1))/(x1^8 - 2*x1^7 + 4*x1^6"
         " - 6*x1^5 + 6*x1^4 - 6*x1^3 + 4*x1^2 - 2*x1 + 1)"
     )
-    assert dense and not reached
-    # a pair in the same two variables still takes the multivariate sequence
+    assert kinds and set(kinds) == {int}
+    # a pair in the same two variables runs it in t on polynomials in u, and
+    # the gcd of its contents in t, which are in u alone, on ints
+    kinds.clear()
     U = MPoly.var(reg, u)
     common = T * U + one
     assert mpoly_gcd(common * (T + U), common * (T - U + one)) == common
-    assert reached
+    assert MPoly in kinds
 
 
 def test_quotient_of_polynomials_is_one_reduction():

@@ -45,17 +45,8 @@ from helpers import (  # noqa: E402
     random_poly,
     random_ratfunc_factored_den,
     random_ratfunc_small_den,
+    to_sympy,
 )
-
-
-def to_sympy(p: MPoly) -> "sympy.Expr":
-    total = sympy.Integer(0)
-    for mono, c in p.sorted_terms():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, e in mono:
-            term *= sympy.Symbol(p.reg.name(v)) ** e
-        total += term
-    return total
 
 
 def ratfunc_to_sympy(f: RatFunc) -> "sympy.Expr":

@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Hashes of the answers derivcover gives, to show that a change keeps them.
+
+    python3 tools/answers.py
+
+Run from the root of a checkout.  It imports derivcover from src/ and the
+benchmark's workloads from bench/, and writes nothing.  It prints one sha256
+per part, so two checkouts give the same answers when every line matches:
+
+    workloads    every check of workloads.build(w, s) for each workload w at
+                 seeds s = 1-3: label, verdict, defect, witness, params and
+                 the result of the check's verify
+    suite-text   the text report of `suite --max-n 4`
+    suite-json   its JSON report
+    coset-funcs  the text reports of `coset check --funcs` on COSET_FUNCS
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # leave bench/ as it is
+ROOT = Path.cwd()
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from derivcover import cli  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+# Multivariate fractions: reducing each one runs the subresultant sequence on
+# coefficients that are polynomials in the other variables.
+COSET_FUNCS = [
+    "(x*y+1)*(x+y)/((x*y+1)*(x-y+1)),x",
+    "(x*y+1)*(x+y)/((x*y+1)*(x-y+1)),y,x*y",
+    "(x*y+1)*(x+y)/((x*y+1)*(x-y+1)),2*(x+y)/(x-y+1)+3",
+    "(x^2*y-y+2)*(x+y^2)/((x^2*y-y+2)*(x*y+3)),x+y",
+    "(x+y)*(x*y+2)/((x-y)*(x*y+2)),(x*y+2)/(x^2*y+2*x),x",
+    "(x*y+z)*(x+y+z)/((x*y+z)*(x-y+z+1)),x,y",
+    "(x*y+1)^2/((x*y+1)*(x^2+y)),x*y",
+    "(x^2+y^2-1)*(x-y)/((x^2+y^2-1)*(x+y+2)),x^2,y",
+]
+
+
+def sha256(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def workload_answers():
+    for w in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for check in workloads.build(w, seed):
+                try:
+                    out = check.run()
+                except Exception as exc:  # a crash is an answer too: hash its text
+                    yield json.dumps([check.label, f"{type(exc).__name__}: {exc}"])
+                    continue
+                answer = [check.label, out.verdict, out.defect, out.witness, out.params,
+                          check.verify(out)]
+                yield json.dumps(answer, sort_keys=True, default=str)
+
+
+def main() -> None:
+    suite = cli.run(["suite", "--max-n", "4"])
+    parts = {
+        "workloads": sha256(workload_answers()),
+        "suite-text": sha256([suite.to_text()]),
+        "suite-json": sha256([suite.to_json()]),
+        "coset-funcs": sha256(
+            cli.run(["coset", "check", "--funcs", funcs]).to_text() for funcs in COSET_FUNCS
+        ),
+    }
+    for name, digest in parts.items():
+        print(f"{name:<12} {digest}")
+
+
+if __name__ == "__main__":
+    main()
