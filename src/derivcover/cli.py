@@ -4,13 +4,9 @@ Exit codes: 0 = holds, 1 = refuted, 2 = error (including usage errors).
 Reports are byte-identical across runs for fixed seed and inputs; the
 timing_ms entry is written as 0 for that reason.
 
-A command's argv is read against its option table (COMMANDS, OPTIONS):
-the command's words, then `--name value` or `--name=value` pairs.  The
-reader gives the namespace that the argparse tree would give, and it
-refuses any argv where the tree might answer otherwise.  What it refuses
-(help, usage errors, abbreviations, a value that argparse would take for
-an option) goes to the full tree, which is imported and built only then,
-so that its help and usage errors keep their text.
+Every argv is read against the option table (COMMANDS, OPTIONS), and one
+that does not fit is a UsageError, reported like any other error.  Only -h
+or --help where a flag would go builds the argparse tree, to print help.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from .dclass import (
     is_in_dn,
     polarization_defect,
 )
+from .errors import UsageError
 from .jets import Operator
 from .parse import MAX_COEFF_BITS, MAX_DEGREE, MAX_DIGITS, parse_func_list, parse_operator
 
@@ -44,7 +41,6 @@ function grammar:   arithmetic over variables [a-z][0-9]*, integer literals,
                     No numerator or denominator may pass total degree {MAX_DEGREE}
                     or hold a coefficient of more than {MAX_COEFF_BITS} bits.
 both grammars:      a number has at most {MAX_DIGITS} digits.
-                    Give a value that starts with '-' after '=': --op=-D1.
 """
 
 
@@ -84,7 +80,7 @@ class Report(NamedTuple):
 
     def to_text(self) -> str:
         lines = list(self.detail_lines)
-        lines.append(f"command: {self.command}")
+        lines.append(f"command: {self.command or '-'}")
         params = " ".join(f"{k}={v}" for k, v in self.params.items())
         lines.append(f"params: {params}" if params else "params: -")
         lines.append(f"verdict: {self.verdict}")
@@ -299,8 +295,8 @@ def _flags(name: str) -> dict[str, tuple[str, dict]]:
 
 @cache
 def _build_parser():
-    """The full parser tree of top, group and command parsers; built once
-    per process: parsing leaves it unchanged."""
+    """The full parser tree of top, group and command parsers, built once
+    per process and only to print help."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -327,71 +323,65 @@ def _build_parser():
     return parser
 
 
-_HEADS = {tuple(name.split()): name for name in COMMANDS}
+# A command's words lead to it; a group's word, or none, to no command.
+_HEADS = {(): None} | {(name.split()[0],): None for name in COMMANDS}
+_HEADS |= {tuple(name.split()): name for name in COMMANDS}
 
 
-def _read(argv: Sequence[str]) -> SimpleNamespace | None:
-    """argv as the tree parses it, if it is a command's words and then only
-    --name value or --name=value pairs of that command's flags; else None.
-
-    A separate value that starts with '-' is read only when it holds a
-    space and starts with neither '-h' nor '--': argparse takes any other
-    for an option.  After '=', only the value '--' is refused: argparse
-    reads --op=-- as an empty list."""
-    for words in (tuple(argv[:2]), tuple(argv[:1])):
+def _read(argv: Sequence[str]) -> SimpleNamespace:
+    """argv as a command's words, then --name value or --name=value pairs of
+    its flags, which may start with '-'; the last of a repeated flag counts.
+    Anything else is a UsageError: no command, an unknown flag (also an
+    abbreviation), a missing value or flag, a bad int or choice, or a word
+    left over.  -h or --help where a flag would go prints the help of the
+    command, group or tree read so far, and exits 0."""
+    for words in (tuple(argv[:2]), tuple(argv[:1]), ()):
         if words in _HEADS:
             break
-    else:
-        return None
     name = _HEADS[words]
+    if name is None:
+        word = next(iter(argv[len(words):]), "end of argv")
+        if word in ("-h", "--help"):
+            _build_parser().parse_args([*words, "-h"])
+        choices = ", ".join(k[-1] for k in _HEADS if k[:-1] == words != k)
+        raise UsageError(f"expected a command word ({choices}), found {word!r}")
     flags = _flags(name)
-    args = {key: spec.get("default") for key, spec in flags.values() if not spec.get("required")}
+    args = {key: spec.get("default") for key, spec in flags.values()}  # None: not given yet
     rest = iter(argv[len(words):])
     for word in rest:
         flag, eq, value = word.partition("=")
         if flag not in flags:
-            return None
-        if not eq:
-            value = next(rest, None)
-            if value is None or value.startswith("-") and (
-                " " not in value or value.startswith(("-h", "--"))
-            ):
-                return None
-        elif value == "--":
-            return None
+            if word in ("-h", "--help"):
+                _build_parser().parse_args([*words, "-h"])
+            what = "unknown flag" if word.startswith("-") else "unexpected word"
+            raise UsageError(f"{what} {word!r}", name, args)
+        if not eq and (value := next(rest, None)) is None:
+            raise UsageError(f"{flag} needs a value", name, args)
         key, spec = flags[flag]
         if "type" in spec:
             try:
                 value = spec["type"](value)
             except ValueError:
-                return None
+                raise UsageError(f"{flag} wants an integer, not {value!r}", name, args) from None
         if "choices" in spec and value not in spec["choices"]:
-            return None
+            wanted = " or ".join(spec["choices"])
+            raise UsageError(f"{flag} wants {wanted}, not {value!r}", name, args)
         args[key] = value
-    if len(args) < len(flags):  # a required flag is missing
-        return None
+    if None in args.values():
+        missing = " and ".join(flag for flag, (key, _) in flags.items() if args[key] is None)
+        raise UsageError(f"missing {missing}", name, args)
     return SimpleNamespace(**args, command=name)
 
 
-def _parse(argv: Sequence[str]) -> SimpleNamespace:
-    """argv parsed as the full tree parses it, less the group and action
-    names that nothing reads.  The reader answers every argv it can; the
-    tree answers the rest: help, usage errors and the argv that argparse
-    reads in ways the reader does not."""
-    args = _read(argv)
-    if args is None:
-        parsed = vars(_build_parser().parse_args(argv))
-        args = SimpleNamespace(**{k: v for k, v in parsed.items() if k not in ("group", "action")})
-    return args
-
-
 def run(argv: Sequence[str]) -> Report:
-    """Execute one CLI invocation and return its report.
-
-    A call that reads as the command's words and its flag pairs never
-    touches argparse; help and usage errors come from the full tree and
-    exit through SystemExit, as argparse does."""
-    args = _parse(argv)
+    """Execute one CLI invocation and return its report; a usage error is
+    verdict `error`, in the format read before it.  Help exits 0 instead."""
+    try:
+        args = _read(argv)
+    except UsageError as exc:
+        params = {k: str(v) for k, v in exc.read.items() if k != "format" and v is not None}
+        return Report("error", f"UsageError: {exc}", None, params, exc.command,
+                      format=exc.read.get("format", "text"))
     cmd = COMMANDS[args.command]
     given = {option: str(getattr(args, option)) for option in cmd.options}
     # every report echoes the required inputs; an error report also the settings

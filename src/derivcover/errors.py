@@ -60,3 +60,12 @@ class ParseError(KitError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class UsageError(KitError):
+    """An argv that fits no command's flags.  Carries the command named ('' if
+    none) and its option values read before the fault (None: not given)."""
+
+    def __init__(self, message: str, command: str = "", read: dict | None = None) -> None:
+        super().__init__(message)
+        self.command, self.read = command, read or {}

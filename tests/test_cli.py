@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from derivcover import cli, errors
-from derivcover.cli import COMMANDS, Report, _build_parser, _parse, run
+from derivcover.cli import COMMANDS, Report, _build_parser, _read, run
 from derivcover.dclass import is_in_dn
 
 from helpers import FOREIGN_CHARS, function_list_text, operator_text
@@ -59,18 +59,12 @@ def test_error_report_keeps_its_params():
     assert "params: n=9 op=D1 max_n=6" in report.to_text()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["dn", "check", "--n", "1", "--op", "D1", "--max-degree", "64"],
-        ["dn", "check", "--n", "1", "--op", "D1", "--seed", "1"],
-    ],
-    ids=["max-degree", "seed"],
-)
-def test_removed_options_are_usage_errors(argv):
-    with pytest.raises(SystemExit) as err:
-        run(argv)
-    assert err.value.code == 2
+@pytest.mark.parametrize("flag", ["--max-degree", "--seed"], ids=["max-degree", "seed"])
+def test_removed_options_are_usage_errors(flag):
+    report = run(["dn", "check", "--n", "1", "--op", "D1", flag, "1"])
+    assert (report.verdict, report.exit_code) == ("error", 2)
+    assert report.defect == f"UsageError: unknown flag '{flag}'"
+    assert report.params == {"n": "1", "op": "D1", "max_n": "6"}
 
 
 def test_suite_report_names_its_seed():
@@ -124,9 +118,22 @@ def test_deeply_nested_function_is_an_error():
 
 
 def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as err:
-        run(["dn", "nonsense"])
-    assert err.value.code == 2
+    report = run(["dn", "nonsense"])
+    assert report.exit_code == 2
+    assert report.to_text() == (
+        "command: -\nparams: -\nverdict: error\ndefect: UsageError: expected a command word "
+        "(check, separation, polarize, subsum), found 'nonsense'\nwitness: -\ntiming_ms: 0"
+    )
+
+
+def test_usage_error_keeps_the_format_read_before_it():
+    report = run(["dn", "check", "--format", "json", "--n", "x", "--op", "D1"])
+    doc = json.loads(report.to_json())
+    assert (report.format, doc["command"], doc["params"], doc["verdict"]) == (
+        "json", "dn check", {"max_n": "6"}, "error"
+    )
+    assert doc["defect"] == "UsageError: --n wants an integer, not 'x'"
+    assert run(["dn", "check", "--n", "x", "--format", "json"]).format == "text"
 
 
 def test_polarize_and_subsum_commands():
@@ -201,13 +208,17 @@ def test_single_command_determinism():
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "derivcover.cli", "dn", "check", "--n", "1", "--op", "D1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "verdict: holds" in proc.stdout
+    for argv, code, verdict in [
+        (["dn", "check", "--n", "1", "--op", "D1"], 0, "holds"),
+        (["dn", "nonsense"], 2, "error"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "derivcover.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert f"verdict: {verdict}" in proc.stdout
 
 
 
@@ -415,12 +426,18 @@ PINNED_REPORTS = [
         id="coset-check-empty-entry",
     ),
     pytest.param(
-        # a value that starts with '-' follows '=', or argparse reads it as
-        # an option
         ["dn", "check", "--n", "1", "--op=-D1"],
         "command: dn check\nparams: n=1 op=-D1\nverdict: holds\ndefect: 0\n"
         "witness: -\ntiming_ms: 0",
         id="dn-check-leading-minus",
+    ),
+    pytest.param(
+        # the value after '=' is the text given, '--' too
+        ["coset", "check", "--funcs=--"],
+        "command: coset check\nparams: funcs=--\nverdict: error\n"
+        "defect: ParseError: expected a value, found 'end of input' (at position 2)\n"
+        "witness: -\ntiming_ms: 0",
+        id="coset-check-double-dash",
     ),
 ]
 
@@ -547,7 +564,7 @@ def test_level_and_operator_commands_contract(command, op, n):
 
 
 # ---------------------------------------------------------------------------
-# Parsing: the reader against the full tree
+# Reading argv: the option table is the only parser, the tree prints help
 
 
 def tree_leaves(parser, words=()):
@@ -593,12 +610,12 @@ def test_a_call_that_reads_never_builds_the_tree(monkeypatch):
             assert report.verdict in ("holds", "refuted"), argv
 
 
-def cold_imports(modules: list[str]) -> str:
-    """Those of modules that a fresh interpreter imports to run
-    `cover psi-check` and render its text report, as printed there."""
+def cold_imports(modules: list[str], argv=("cover", "psi-check")) -> str:
+    """Those of modules that a fresh interpreter imports to run argv and
+    render its text report, as printed there."""
     code = (
         "import sys; before = set(sys.modules); from derivcover import cli; "
-        "cli.run(['cover', 'psi-check']).to_text(); "
+        f"cli.run({list(argv)!r}).to_text(); "
         f"print(sorted(set(sys.modules) - before & {set(modules)!r}))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -614,6 +631,7 @@ def cold_imports(modules: list[str]) -> str:
 
 def test_a_cold_call_never_imports_argparse():
     assert cold_imports(["argparse"]) == "[]\n"
+    assert cold_imports(["argparse"], ["dn", "check", "--n", "x", "--op", "D1"]) == "[]\n"
 
 
 def test_a_cold_text_report_imports_neither_dataclasses_nor_json():
@@ -621,113 +639,93 @@ def test_a_cold_text_report_imports_neither_dataclasses_nor_json():
     assert cold_imports(["dataclasses", "json"]) == "[]\n"
 
 
-def parse_outcome(parse, argv):
-    """The parsed namespace as a dict, or the exit code with what was printed."""
+# Each spelling of an option and its value, and the namespace it reads as:
+# the '=' form, also with a leading '-' or the value '--'; a separate value
+# that starts with '-'; an empty value; an option given twice.
+SPELLINGS = [
+    (["dn", "check", "--n=2", "--op", "D1.D1", "--format=json"],
+     {"n": 2, "op": "D1.D1", "format": "json"}),
+    (["dn", "check", "--n", "1", "--n", "2", "--op", "D1"], {"n": 2, "op": "D1"}),
+    (["dn", "check", "--n", "1", "--op=-D1.D2"], {"n": 1, "op": "-D1.D2"}),
+    (["dn", "check", "--n", "1", "--op=--"], {"n": 1, "op": "--"}),
+    (["dn", "check", "--op", "-2*D1 + D2", "--n", "1"], {"n": 1, "op": "-2*D1 + D2"}),
+    (["dn", "check", "--n", "1", "--op", "-D1"], {"n": 1, "op": "-D1"}),
+    (["dn", "check", "--n", "1", "--op", ""], {"n": 1, "op": ""}),
+    (["coset", "check", "--funcs", "-t, t^2"], {"funcs": "-t, t^2"}),
+    (["coset", "check", "--funcs", "-t"], {"funcs": "-t"}),
+    (["suite", "--seed=-3", "--max-n", "2"], {"seed": -3, "max_n": 2}),
+]
+
+
+@pytest.mark.parametrize("argv, read", SPELLINGS, ids=[" ".join(a) for a, _ in SPELLINGS])
+def test_reader_namespaces(argv, read):
+    args = vars(_read(argv))
+    command = args.pop("command").split()
+    assert argv[: len(command)] == command
+    options = ("format", *COMMANDS[" ".join(command)].options)
+    assert args == {o: cli.OPTIONS[o].get("default") for o in options} | read
+
+
+# An argv is a head that names a command, a group or nothing, then flags
+# with values, apart or after '=', and other words.  Values hold digits only
+# from VALUES, so that no drawn level or battery is large.
+HEADS = [name.split() for name in COMMANDS] + [["dn"], ["bogus"], ["dn", "bogus"], []]
+FLAGS = ["--n", "--op", "--funcs", "--max-n", "--seed", "--format", "--fo", "--max-degree",
+         "-x", "--", "-h", "--help"]
+VALUES = ["1", "2", "0", "-1", "x", "", "D1", "-D1", "D1.D2", "-h D1", "--", "-t", "json", "xml"]
+PAIRS = st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES))
+WORDS = st.sampled_from(FLAGS + VALUES + ["dn check", "check", "extra"]) | st.text(
+    st.characters(blacklist_categories=("Nd",)), max_size=6
+)
+CHUNKS = st.one_of(PAIRS.map(list), PAIRS.map(lambda p: ["=".join(p)]), WORDS.map(lambda w: [w]))
+ANY_ARGV = st.builds(
+    lambda head, chunks: head + sum(chunks, []),
+    st.sampled_from(HEADS), st.lists(CHUNKS, max_size=4),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ANY_ARGV)
+@example(["dn", "check", "--n", "x", "--op", "D1"])
+@example(["dn", "check", "--n", "1", "--op", "-D1"])
+@example(["coset", "check", "--funcs", "-t"])
+@example(["dn", "check", "--n", "1", "--op", "-h"])
+@example(["dn", "-h"])
+@example(["cover", "ring-check", "--op", "-D1", "-h"])  # help reads only the command words
+def test_every_argv_gets_a_report(argv):
+    """A report whose exit code is its verdict's, in text and JSON, and
+    nothing printed; or help, exit 0, from the tree alone."""
+    trees = cli._build_parser.cache_info
+    built = trees().hits + trees().misses
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return vars(parse(argv))
+            report = run(argv)
         except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue()
-
-
-# An argv is a command's words, its required options and up to three of its
-# options, with valid values or in other SPELLINGS.  One example in three is
-# then broken once: its words are run together or replaced by OTHER_HEADS,
-# which name no command, its required options are left out, or one word or
-# pair is inserted after the head words: a REFUSED spelling of one of its
-# options, or one from ARGV_PARTS or ARGV_ANYWHERE.
-REQUIRED = ("--n", "--op", "--funcs")
-OTHER_HEADS = ["dn", "cover", "bogus", "dn bogus", ""]
-VALUES = {
-    "--n": "2", "--op": "D1.D1", "--funcs": "t,t^2", "--max-n": "3", "--seed": "2",
-    "--format": "json",
-}
-# Other spellings of an option and its value that the reader answers: the
-# '=' form, also with a leading '-'; a separate value that starts with '-'
-# and holds a space; an empty value; an option given twice.
-SPELLINGS = {
-    "--n": [["--n=2"], ["--n", "1", "--n", "2"]],
-    "--op": [["--op=-D1.D2"], ["--op", "-2*D1 + D2"], ["--op", ""]],
-    "--funcs": [["--funcs", "-t, t^2"]],
-    "--seed": [["--seed=-3"]],
-    "--format": [["--format=json"]],
-}
-# Spellings that the reader leaves to the tree: an empty, negative or unknown
-# value; '--' after '=' (which argparse reads as an empty list); a separate
-# value that starts with '-h' (help).
-REFUSED = {
-    "--n": [["--n="], ["--n", "-1"]],
-    "--op": [["--op=--"], ["--op", "-h D1"]],
-    "--format": [["--format=xml"]],
-}
-ARGV_PARTS = [
-    ["--n", "x"], ["--n"], ["--op=-D1"], ["--op", "-D1"], ["--o", "D1.D2"], ["--max", "x"],
-    ["--m", "4"], ["--f", "t"], ["--s=1"], ["--format", "xml"], ["--fo=text"], ["extra"], ["-x"],
-]
-ARGV_ANYWHERE = [["--"], ["-h"], ["--help"], ["--he"]]
-
-
-@st.composite
-def cli_argv(draw):
-    head = draw(st.sampled_from(list(COMMANDS)))
-    head_words = head.split()
-    options = sorted(COMMAND_OPTIONS[head])
-    required = [w for o in options if o in REQUIRED for w in (o, VALUES[o])]
-    flags = [*options, "--format"]
-    valid = [[o, VALUES[o]] for o in flags] + [s for o in flags for s in SPELLINGS.get(o, ())]
-    rest = [w for part in draw(st.lists(st.sampled_from(valid), max_size=3)) for w in part]
-    inserted = {
-        "refused": [s for o in flags for s in REFUSED.get(o, ())],
-        "part": ARGV_PARTS,
-        "anywhere": ARGV_ANYWHERE,
-    }
-    breaks = ["joined", "other head", "no required", *inserted]
-    broken = draw(st.sampled_from(breaks)) if draw(st.integers(0, 2)) == 0 else None
-    if broken == "joined":
-        head_words = [head]
-    elif broken == "other head":
-        head_words = draw(st.sampled_from(OTHER_HEADS)).split()
-    rest = ([] if broken == "no required" else required) + rest
-    if broken in inserted:
-        i = draw(st.integers(0, len(rest)))
-        rest[i:i] = draw(st.sampled_from(inserted[broken]))
-    return head_words + rest
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(cli_argv())
-# each SPELLINGS and REFUSED shape in an argv that is whole but for it
-@example(["dn", "check", "--n=2", "--op=-D1.D2", "--format=json"])
-@example(["dn", "check", "--n=", "--op", "D1"])
-@example(["dn", "check", "--n", "2", "--op=--"])
-@example(["dn", "polarize", "--op", "-2*D1 + D2", "--n", "1"])
-@example(["cover", "ring-check", "--op", "-h D1"])
-@example(["cover", "ring-check", "--op", ""])
-@example(["coset", "check", "--funcs", "-t, t^2"])
-@example(["dn", "subsum", "--n", "-1"])
-@example(["dn", "separation", "--n", "1", "--n", "2"])
-@example(["suite", "--seed=-3", "--max-n", "2"])
-@example(["suite", "--format=xml"])
-@example(["dn", "check", "--n", "2"])
-def test_command_parser_parses_as_the_full_tree(argv):
-    full = parse_outcome(_build_parser().parse_args, argv)
-    if isinstance(full, dict):
-        full = {k: v for k, v in full.items() if k not in ("group", "action")}
-    assert parse_outcome(_parse, argv) == full
+            assert exc.code == 0
+            assert {"-h", "--help"} & set(argv)
+            assert out.getvalue().startswith("usage: derivcover")
+            return
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    assert trees().hits + trees().misses == built
+    assert report.exit_code == EXIT_CODES[report.verdict]
+    assert json.loads(report.to_json())["verdict"] == report.verdict
+    assert f"verdict: {report.verdict}" in report.to_text()
 
 
 def test_command_words_run_together_are_no_command():
-    code, out, err = parse_outcome(run, ["dn check", "--n", "1", "--op", "D1"])
-    assert (code, out) == (2, "")
-    assert "invalid choice: 'dn check'" in err
+    report = run(["dn check", "--n", "1", "--op", "D1"])
+    assert (report.exit_code, report.command, report.params, report.defect) == (
+        2, "", {}, "UsageError: expected a command word (dn, cover, coset, suite), found 'dn check'"
+    )
 
 
 def test_leftover_words_are_a_top_level_error():
-    code, out, err = parse_outcome(run, ["dn", "check", "--n", "1", "--op", "D1", "extra"])
-    assert (code, out) == (2, "")
-    assert err.startswith("usage: derivcover [-h]")
-    assert err.endswith("derivcover: error: unrecognized arguments: extra\n")
+    report = run(["dn", "check", "--n", "1", "--op", "D1", "extra"])
+    assert report.to_text() == (
+        "command: dn check\nparams: n=1 op=D1 max_n=6\nverdict: error\n"
+        "defect: UsageError: unexpected word 'extra'\nwitness: -\ntiming_ms: 0"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ per part, so two checkouts give the same answers when every line matches:
     suite-text   the text report of `suite --max-n 4`
     suite-json   its JSON report
     coset-funcs  the text reports of `coset check --funcs` on COSET_FUNCS
+    usage        the text and JSON reports of the malformed argv in USAGE_ARGV
 """
 
 import hashlib
@@ -40,6 +41,26 @@ COSET_FUNCS = [
     "(x*y+z)*(x+y+z)/((x*y+z)*(x-y+z+1)),x,y",
     "(x*y+1)^2/((x*y+1)*(x^2+y)),x*y",
     "(x^2+y^2-1)*(x-y)/((x^2+y^2-1)*(x+y+2)),x^2,y",
+]
+
+# Malformed argv, as the argparse tree once answered them: a head that names
+# no command, or a whole command, in either format, with one stray part.
+OTHER_HEADS = [["dn"], ["cover"], ["bogus"], ["dn", "bogus"], [], ["dn check"]]
+STRAY_PARTS = [
+    ["--n="], ["--n", "-1"], ["--op=--"], ["--op", "-h D1"], ["--format=xml"],
+    ["--n", "x"], ["--n"], ["--op=-D1"], ["--op", "-D1"], ["--o", "D1.D2"], ["--max", "x"],
+    ["--m", "4"], ["--f", "t"], ["--s=1"], ["--format", "xml"], ["--fo=text"], ["extra"], ["-x"],
+    ["--"], ["--he"],
+]
+WHOLE = [
+    [*head, *form, *flags]
+    for head, flags in [(["dn", "check"], ["--n", "2", "--op", "D1.D1"]),
+                        (["coset", "check"], ["--funcs", "t,t^2"])]
+    for form in ([], ["--format", "json"])
+]
+USAGE_ARGV = [
+    *(head + ["--n", "2"] for head in OTHER_HEADS),
+    *(argv + part for argv in WHOLE for part in STRAY_PARTS),
 ]
 
 
@@ -73,6 +94,10 @@ def main() -> None:
         "suite-json": sha256([suite.to_json()]),
         "coset-funcs": sha256(
             cli.run(["coset", "check", "--funcs", funcs]).to_text() for funcs in COSET_FUNCS
+        ),
+        "usage": sha256(
+            text for report in map(cli.run, USAGE_ARGV)
+            for text in (report.to_text(), report.to_json())
         ),
     }
     for name, digest in parts.items():
