@@ -33,7 +33,7 @@ from .dclass import (
     polarization_defect,
     probe_zero,
 )
-from .jets import JetContext, Operator, apply_operator, derive, odd_component
+from .jets import JetContext, Operator, apply_operator, derive
 from .parse import parse_func_list, parse_operator, parse_ratfunc
 from .poly import MPoly, RatFunc, VarRegistry, mpoly_gcd
 

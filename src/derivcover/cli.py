@@ -167,12 +167,11 @@ def _coset_check(args) -> Report:
 
 def _suite(args) -> Report:
     results = suite.battery(args.max_n, args.seed)
-    failed = [name for name, ok, _ in results if not ok]
+    failed = [name for name, ok, _, _ in results if not ok]
     lines = []
-    for name, ok, detail in results:
-        mark = "ok" if ok else "FAIL"
+    for name, ok, detail, scope in results:
         suffix = f": {detail}" if detail and not ok else ""
-        lines.append(f"{mark} {name}{suffix}")
+        lines.append(f"{'ok' if ok else 'FAIL'} {name} ({scope}){suffix}")
     return Report(
         _verdict(not failed),
         "; ".join(failed) if failed else None,
@@ -277,7 +276,8 @@ OPTIONS = {
     "max_n": {
         "type": int,
         "default": DEFAULT_LEVEL_CAP,
-        "help": "cap on the class level n (suite: run the battery up to this level)",
+        "help": "cap on the class level n (suite: run the battery at levels 1 to "
+        f"this, which must be 1 to {DEFAULT_LEVEL_CAP})",
     },
 }
 
@@ -332,9 +332,10 @@ def _read(argv: Sequence[str]) -> SimpleNamespace:
     """argv as a command's words, then --name value or --name=value pairs of
     its flags, which may start with '-'; the last of a repeated flag counts.
     Anything else is a UsageError: no command, an unknown flag (also an
-    abbreviation), a missing value or flag, a bad int or choice, or a word
-    left over.  -h or --help where a flag would go prints the help of the
-    command, group or tree read so far, and exits 0."""
+    abbreviation), a missing value or flag, an int that is not an optional
+    '-' and 1..MAX_DIGITS ASCII digits (as the grammars read a number), a
+    bad choice, or a word left over.  -h or --help where a flag would go
+    prints the help of the command, group or tree read so far, and exits 0."""
     for words in (tuple(argv[:2]), tuple(argv[:1]), ()):
         if words in _HEADS:
             break
@@ -359,10 +360,10 @@ def _read(argv: Sequence[str]) -> SimpleNamespace:
             raise UsageError(f"{flag} needs a value", name, args)
         key, spec = flags[flag]
         if "type" in spec:
-            try:
-                value = spec["type"](value)
-            except ValueError:
-                raise UsageError(f"{flag} wants an integer, not {value!r}", name, args) from None
+            digits = value.removeprefix("-")
+            if not (len(digits) <= MAX_DIGITS and digits.isascii() and digits.isdigit()):
+                raise UsageError(f"{flag} wants an integer, not {value!r}", name, args)
+            value = int(value)
         if "choices" in spec and value not in spec["choices"]:
             wanted = " or ".join(spec["choices"])
             raise UsageError(f"{flag} wants {wanted}, not {value!r}", name, args)

@@ -23,9 +23,10 @@ letter.  An identity term c (the empty word) contributes (-1)^n c f^(n+1).
 
 Order matters for the class hierarchy: the classes grow with n, and the
 (n+1)-fold iterate of a single derivation letter separates level n+1 from
-level n.  The parity-extraction check connecting the two forms expands
-F(s^(n+1)) by the Leibniz action and compares it with the closed form of the
-polarized defect.
+level n.  The parity extraction connecting the two forms reads only the
+squarefree monomials x_S of s = x1+...+x_{n+1}: a letter sends a jet of a
+generator to a jet of the same one, so F(x^alpha) has graded degree alpha_g
+in each generator g (the grading lemma; odd_extraction_check).
 """
 
 # Annotations are evaluated, not postponed, so NamedTuple type hints resolve.
@@ -34,12 +35,12 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import count, permutations, product
+from itertools import combinations, count, permutations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ContextMismatchError, PreconditionError
-from .jets import JetContext, Operator, Word, apply_operator, odd_component
+from .jets import JetContext, Operator, Word, apply_operator
 from .poly import Coeff, MPoly, RatFunc, add_product, fraction_sum
 
 DEFAULT_LEVEL_CAP = 6
@@ -229,30 +230,42 @@ def _polarization(ctx: JetContext, op: Operator, n: int) -> RatFunc:
 def odd_extraction_check(op: Operator, n: int) -> bool:
     """Verify the parity-extraction step linking the two identities.
 
-    With s = x1+...+x_{n+1}: the part of F(s^(n+1)) odd in every generator
-    must be (n+1)! F(x1...x_{n+1}), and the same extraction applied to the
-    right side of the order-n identity must give (n+1)! times the multilinear
-    combination.  Requires op to satisfy the order-n identity.  Both sides
-    are expanded by the Leibniz action, and the multilinear combination is
-    taken as F(x1...x_{n+1}) minus the closed form of polarization_defect,
-    so the check also ties that closed form to the generic expansion.
+    With s = x1+...+x_{n+1}, the part of F(s^(n+1)) odd in every generator
+    must be (n+1)! F(x1...x_{n+1}), and the same part of the right side of
+    the order-n identity (n+1)! times the multilinear combination.  Requires
+    op to satisfy the order-n identity.  By the grading lemma (module
+    docstring) a term x^beta F(x^gamma) of either side has graded degree
+    beta + gamma, and odd in each of the n+1 generators at total degree n+1
+    leaves beta + gamma = (1, ..., 1).  So the left part holds when each
+    image F(x_S) has graded degree 1 in each generator of S and 0 in the
+    rest, and the right part, with the multinomials (n+1-|S|)! |S|!, when
+    sum_{S nonempty} (-1)^(n+1-|S|) x^(S^c) F(x_S) is the closed form of
+    polarization_defect.  So op is applied to the 2^(n+1) - 1 monomials
+    x_S, each image term is tested for that grading, and the signed sum is
+    compared with the closed form.
     """
     if not is_in_dn(op, n).in_dn:
-        raise PreconditionError(
-            "parity extraction is only asserted for members of the class"
-        )
+        raise PreconditionError("parity extraction is only asserted for members of the class")
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
-    xs = [ctx.gen(i) for i in range(n + 1)]
-    s = sum(xs, RatFunc.zero(ctx))
-    factorial = math.factorial(n + 1)
-    left = odd_component(apply_operator(ctx, op, s ** (n + 1)).as_poly())
-    whole = apply_operator(ctx, op, math.prod(xs[1:], start=xs[0]))
-    if left != whole.scale(factorial).as_poly():
-        return False
-    images = (apply_operator(ctx, op, s**i) for i in range(1, n + 1))
-    right = odd_component(level_combination(n, s, images).as_poly())
-    right_target = (whole - _polarization(ctx, op, n)).scale(factorial)
-    return right == right_target.as_poly()
+    closed = _polarization(ctx, op, n).as_poly()  # places every jet an image reaches
+    low = [0] * (n + 1)  # the lowest bit of the field of each jet of a generator
+    for v in ctx.symbols():
+        low[ctx.base_of(v)] |= ctx.unit(v) - 1
+    units = [ctx.unit(g) for g in ctx.gens]
+    terms: dict[int, Coeff] = {}
+    for size in range(1, n + 2):
+        for subset in combinations(range(n + 1), size):
+            x_s = sum(units[g] for g in subset)
+            image = apply_operator(ctx, op, RatFunc.from_poly(MPoly(ctx, {x_s: 1}))).num
+            # an odd-power jet of each g in S, total degree <= |S|: degree 1 in S, 0 elsewhere
+            if image.total_degree() > size or not all(
+                m & low[g] for m in image.terms for g in subset
+            ):
+                return False
+            sign, rest = (-1) ** (n + 1 - size), sum(units) - x_s
+            for m, c in image.terms.items():
+                terms[m + rest] = terms.get(m + rest, 0) + sign * c
+    return MPoly.from_packed(ctx, terms) == closed
 
 
 def inductive_subsum(n: int) -> RatFunc:

@@ -223,28 +223,6 @@ def derive(ctx: JetContext, letter: int, f: RatFunc) -> RatFunc:
     return RatFunc._normalized(num, f.den * r)
 
 
-def odd_component(f: MPoly) -> MPoly:
-    """Sum of the terms of f whose graded degree is odd in every generator of
-    f's context.
-
-    The graded degree of a monomial in generator g counts g and every jet
-    symbol of g once per exponent unit (the Leibniz action preserves this
-    grading).  Its parity is the parity of the number of odd exponents among
-    those symbols, so one mask of their fields' lowest bits per generator
-    decides it.
-    """
-    ctx = f.reg
-    masks = [0] * len(ctx.gens)
-    for v in ctx.symbols():
-        masks[ctx.base_of(v)] |= ctx.unit(v) - 1
-    terms = {
-        m: c
-        for m, c in f.terms.items()
-        if all((m & mask).bit_count() & 1 for mask in masks)
-    }
-    return MPoly(ctx, terms)
-
-
 # ---------------------------------------------------------------------------
 # Operators: rational linear combinations of derivation words
 

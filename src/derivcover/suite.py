@@ -26,15 +26,16 @@ from .poly import MPoly, RatFunc, VarRegistry
 ORACLE_SAMPLES = 200  # random polynomial tuples the coset oracle compares
 
 
-def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
-    """Run the certification battery; returns (name, passed, detail) triples,
-    deterministic for a fixed seed.  With c(k) = min(k, max_n): check 1 runs
-    level 1, checks 2, 5 and 6 levels up to c(4) (a word of length L at
-    levels L..c(4)+1), check 3 levels n and n+1 for n <= c(5), and checks 4
-    and 7 levels up to c(3).  So a max_n above 5 runs the checks of 5."""
-    if max_n < 1:
-        raise ValueError("need max_n >= 1")
-    results: list[tuple[str, bool, str]] = []
+def battery(max_n: int, seed: int) -> list[tuple[str, bool, str, str]]:
+    """Run the certification battery at every level 1..max_n, for max_n from
+    1 to DEFAULT_LEVEL_CAP; returns (name, passed, detail, scope) quadruples,
+    deterministic for a fixed seed.  scope says what a check ran, such as
+    `levels 1-5, 64 words` (checks 2 and 3 also decide level max_n + 1), or
+    `208 tuples`.  Check 2's words over distinct letters grow like max_n!."""
+    if not 1 <= max_n <= dclass.DEFAULT_LEVEL_CAP:
+        bound = ">= 1" if max_n < 1 else f"<= {dclass.DEFAULT_LEVEL_CAP}"
+        raise ValueError(f"need max_n {bound}")
+    results: list[tuple[str, bool, str, str]] = []
     collected: list[tuple[RatFunc, bool]] = []
 
     def note(defect: RatFunc) -> None:
@@ -50,30 +51,34 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
             note(decided[key].defect)
         return decided[key]
 
-    def record(name: str, failures: list[str]) -> None:
-        results.append((name, not failures, failures[-1] if failures else ""))
+    def record(name: str, failures: list[str], count: int, what: str, top: int = 0) -> None:
+        span = f"levels 1-{top}, " if top > 1 else "level 1, " if top else ""
+        scope = f"{span}{count} {what}{'s' * (count != 1)}"
+        results.append((name, not failures, failures[-1] if failures else "", scope))
 
     delta = Operator.word((0,))
+    levels = range(1, max_n + 1)
 
     # 1: level-1 membership is the Leibniz rule
     d1 = member(delta, 1)
     p1 = polarization_defect(delta, 1)
     note(p1)
-    record("derivation-characterization", [] if d1.in_dn and p1.is_zero() else [""])
+    ok = d1.in_dn and p1.is_zero()
+    record("derivation-characterization", [] if ok else [""], 1, "operator", 1)
 
     # 2: words over distinct letters stay in every class from their length up
     failures = []
-    for length in range(1, min(4, max_n) + 1):
-        for word in permutations(range(4), length):
-            op = Operator.word(word)
-            for level in range(length, min(4, max_n) + 2):
-                if not member(op, level).in_dn:
-                    failures.append(f"{op.render()} escaped level {level}")
-    record("word-inclusion", failures)
+    words = [w for k in levels for w in permutations(range(max(4, k)), k)]
+    for word in words:
+        op = Operator.word(word)
+        for level in range(len(word), max_n + 2):
+            if not member(op, level).in_dn:
+                failures.append(f"{op.render()} escaped level {level}")
+    record("word-inclusion", failures, len(words), "word", max_n + 1)
 
     # 3: the (n+1)-fold iterate separates consecutive classes
     failures = []
-    for n in range(1, min(5, max_n) + 1):
+    for n in levels:
         op = Operator.word((0,) * (n + 1))
         low = member(op, n)
         high = member(op, n + 1)
@@ -83,13 +88,13 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
         )
         if low.in_dn or not high.in_dn or not witness_ok:
             failures.append(f"separation failed at level {n}")
-    record("strict-separation", failures)
+    record("strict-separation", failures, max_n, "operator", max_n + 1)
 
     # 4: one-variable identity holds iff the multilinear identity holds
     failures = []
     ops = default_test_set(seed=seed)
     for op in ops:
-        for n in range(1, min(3, max_n) + 1):
+        for n in levels:
             in_dn = member(op, n).in_dn
             pdef = polarization_defect(op, n)
             note(pdef)
@@ -99,47 +104,48 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str]]:
                 failures.append(
                     f"parity extraction failed for {op.render()} at level {n}"
                 )
-    record("polarization-equivalence", failures)
+    record("polarization-equivalence", failures, len(ops), "operator", max_n)
 
     # 5: the cross-term subsum vanishes
     failures = []
-    for n in range(1, min(4, max_n) + 1):
+    for n in levels:
         total = inductive_subsum(n)
         note(total)
         if not total.is_zero():
             failures.append(f"subsum nonzero at level {n}")
-    record("inductive-subsum", failures)
+    record("inductive-subsum", failures, max_n, "sum", max_n)
 
     # 6: relation preservation on the cover agrees with class membership
     failures = []
     for op in ops:
-        for n in range(1, min(4, max_n) + 1):
+        for n in levels:
             pres = cover.rn_preservation(op, n)
             note(pres.defect)
             if pres.in_dn != member(op, n).in_dn:
                 failures.append(f"cover disagreement for {op.render()} at level {n}")
-    record("cover-equivalence", failures)
+    record("cover-equivalence", failures, len(ops), "operator", max_n)
 
     # 7: definability of the product and of the level-n relation
     ok = (
         cover.psi_defines_otimes()
-        and all(cover.rn_reduct_check(n) for n in range(1, min(3, max_n) + 1))
+        and all(cover.rn_reduct_check(n) for n in levels)
         and cover.sigma_ring_check(delta)
         and not cover.sigma_ring_check(Operator.word((0, 0)))
     )
-    record("definability", [] if ok else [""])
+    record("definability", [] if ok else [""], 2, "operator", max_n)
 
     # 8: power tuples lie on no affine line over the constants
     failures = [] if all(cosets.coset_free_powers(n) for n in range(1, 9)) else [""]
     agree, detail = coset_oracle_agreement(seed=seed)
-    record("coset-freeness", failures if agree else failures + [detail])
+    failures += [] if agree else [detail]
+    record("coset-freeness", failures, 8 + ORACLE_SAMPLES, "tuple")
 
     # 9: every symbolic verdict above survives randomized evaluation
     failures = []
     for idx, (defect, symbolic_zero) in enumerate(collected):
         if probe_zero(defect, seed=seed) != symbolic_zero:
             failures.append(f"probe disagreed with symbolic verdict #{idx}")
-    record("cross-check-oracle", failures)
+    record("cross-check-oracle", failures, len(collected), "defect")
 
     return results
 

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from derivcover import cli, errors
 from derivcover.cli import COMMANDS, Report, _build_parser, _read, run
 from derivcover.dclass import is_in_dn
+from derivcover.parse import MAX_DIGITS
 
 from helpers import FOREIGN_CHARS, function_list_text, operator_text
 
@@ -84,8 +85,49 @@ def test_suite_decides_each_membership_once(monkeypatch):
         return is_in_dn(op, n)
 
     monkeypatch.setattr(suite, "is_in_dn", counting)
-    assert all(passed for _, passed, _ in suite.battery(4, 0))
+    assert all(passed for _, passed, _, _ in suite.battery(4, 0))
     assert decided and len(decided) == len(set(decided))
+
+
+def test_every_suite_check_runs_every_level(monkeypatch):
+    """Checks 2-7 each reach every level 1..max_n: check 2 with a word of
+    distinct letters as long as the level, check 3 with the iterate one
+    longer (the test set's words are 3 letters at most), and checks 4-7
+    through their own entry points."""
+    from derivcover import cover, dclass, suite
+
+    levels = {}
+
+    def count(module, name, kind=None):
+        real = getattr(module, name)
+
+        def counting(*args):
+            key = kind(args[0]) if kind else name
+            levels.setdefault(key, set()).add(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def word_kind(op):
+        word = next(iter(op.terms)) if len(op.terms) == 1 else ()
+        if len(word) > 1 and set(word) == {0}:
+            return f"iterate of length {len(word)}"
+        distinct = len(set(word)) == len(word)
+        return f"distinct letters, length {len(word)}" if distinct else "other"
+
+    count(suite, "is_in_dn", word_kind)
+    for name in ("polarization_defect", "inductive_subsum"):
+        count(suite, name)
+    count(dclass, "odd_extraction_check")
+    for name in ("rn_preservation", "rn_reduct_check"):
+        count(cover, name)
+    assert all(passed for _, passed, _, _ in suite.battery(5, 0))
+    for n in range(1, 6):
+        assert n in levels[f"distinct letters, length {n}"], n
+        assert n in levels[f"iterate of length {n + 1}"], n
+    for name in ("polarization_defect", "odd_extraction_check", "inductive_subsum",
+                 "rn_preservation", "rn_reduct_check"):
+        assert set(range(1, 6)) <= levels[name], name
 
 
 def test_unexpected_failure_is_an_error_report(monkeypatch):
@@ -286,9 +328,15 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         ["suite", "--max-n", "2"],
-        "ok derivation-characterization\nok word-inclusion\nok strict-separation\n"
-        "ok polarization-equivalence\nok inductive-subsum\nok cover-equivalence\n"
-        "ok definability\nok coset-freeness\nok cross-check-oracle\n"
+        "ok derivation-characterization (level 1, 1 operator)\n"
+        "ok word-inclusion (levels 1-3, 16 words)\n"
+        "ok strict-separation (levels 1-3, 2 operators)\n"
+        "ok polarization-equivalence (levels 1-2, 44 operators)\n"
+        "ok inductive-subsum (levels 1-2, 2 sums)\n"
+        "ok cover-equivalence (levels 1-2, 44 operators)\n"
+        "ok definability (levels 1-2, 2 operators)\n"
+        "ok coset-freeness (208 tuples)\n"
+        "ok cross-check-oracle (292 defects)\n"
         "command: suite\nparams: max_n=2 seed=0 checks=9 failed=0\nverdict: holds\n"
         "defect: -\nwitness: -\ntiming_ms: 0",
         id="suite-max-n2",
@@ -315,9 +363,15 @@ PINNED_REPORTS = [
         # seed 1 draws a coset tuple whose smallest integer relation has an
         # entry outside [-5, 5]; the suite's oracle must still find it
         ["suite", "--max-n", "2", "--seed", "1"],
-        "ok derivation-characterization\nok word-inclusion\nok strict-separation\n"
-        "ok polarization-equivalence\nok inductive-subsum\nok cover-equivalence\n"
-        "ok definability\nok coset-freeness\nok cross-check-oracle\n"
+        "ok derivation-characterization (level 1, 1 operator)\n"
+        "ok word-inclusion (levels 1-3, 16 words)\n"
+        "ok strict-separation (levels 1-3, 2 operators)\n"
+        "ok polarization-equivalence (levels 1-2, 44 operators)\n"
+        "ok inductive-subsum (levels 1-2, 2 sums)\n"
+        "ok cover-equivalence (levels 1-2, 44 operators)\n"
+        "ok definability (levels 1-2, 2 operators)\n"
+        "ok coset-freeness (208 tuples)\n"
+        "ok cross-check-oracle (292 defects)\n"
         "command: suite\nparams: max_n=2 seed=1 checks=9 failed=0\nverdict: holds\n"
         "defect: -\nwitness: -\ntiming_ms: 0",
         id="suite-max-n2-seed1",
@@ -328,6 +382,13 @@ PINNED_REPORTS = [
         "command: suite\nparams: seed=0 max_n=0\nverdict: error\n"
         "defect: ValueError: need max_n >= 1\nwitness: -\ntiming_ms: 0",
         id="suite-max-n0",
+    ),
+    pytest.param(
+        # check 2's words over distinct letters grow like max_n!
+        ["suite", "--max-n", "7"],
+        "command: suite\nparams: seed=0 max_n=7\nverdict: error\n"
+        "defect: ValueError: need max_n <= 6\nwitness: -\ntiming_ms: 0",
+        id="suite-max-n7",
     ),
     pytest.param(
         ["suite", "--max-n", "-3"],
@@ -654,6 +715,7 @@ SPELLINGS = [
     (["coset", "check", "--funcs", "-t, t^2"], {"funcs": "-t, t^2"}),
     (["coset", "check", "--funcs", "-t"], {"funcs": "-t"}),
     (["suite", "--seed=-3", "--max-n", "2"], {"seed": -3, "max_n": 2}),
+    (["suite", "--seed", "-007", "--max-n=02"], {"seed": -7, "max_n": 2}),
 ]
 
 
@@ -664,6 +726,25 @@ def test_reader_namespaces(argv, read):
     assert argv[: len(command)] == command
     options = ("format", *COMMANDS[" ".join(command)].options)
     assert args == {o: cli.OPTIONS[o].get("default") for o in options} | read
+
+
+def test_int_flags_read_as_the_grammars_read_numbers():
+    """An int is '-'? and 1..MAX_DIGITS ASCII digits, as a number token of
+    the grammars; no other digit, separator, sign or space."""
+    refused = [
+        (["dn", "check", "--n", "\u0663", "--op", "D1"], "--n", "\u0663"),
+        (["dn", "check", "--n", "1_0", "--max-n", "1_00", "--op", "D1"], "--n", "1_0"),
+        (["suite", "--max-n", " 2 ", "--seed", "+1"], "--max-n", " 2 "),
+        (["suite", "--max-n", "2", "--seed", "+1"], "--seed", "+1"),
+        (["suite", "--seed", "-"], "--seed", "-"),
+        (["suite", "--seed", "1" * (MAX_DIGITS + 1)], "--seed", "1" * (MAX_DIGITS + 1)),
+    ]
+    for argv, flag, value in refused:
+        report = run(argv)
+        assert (report.exit_code, report.defect) == (
+            2, f"UsageError: {flag} wants an integer, not {value!r}"
+        ), argv
+    assert _read(["suite", "--seed", "9" * MAX_DIGITS]).seed == int("9" * MAX_DIGITS)
 
 
 # An argv is a head that names a command, a group or nothing, then flags

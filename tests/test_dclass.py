@@ -20,7 +20,7 @@ from itertools import combinations, count
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derivcover import cli
+from derivcover import cli, dclass
 from derivcover.dclass import (
     default_test_set,
     dn_defect,
@@ -126,6 +126,37 @@ def test_odd_extraction_for_members():
 def test_odd_extraction_rejects_nonmembers():
     with pytest.raises(PreconditionError):
         odd_extraction_check(DD, 1)
+
+
+def test_odd_extraction_compares_with_the_closed_form(monkeypatch):
+    real = dclass._polarization
+    monkeypatch.setattr(
+        dclass, "_polarization", lambda ctx, op, n: real(ctx, op, n) + ctx.gen(0)
+    )
+    for op, n in ((D, 1), (DD, 2), (Operator.word((0, 1)), 2)):
+        assert not odd_extraction_check(op, n)
+
+
+@pytest.mark.parametrize("exponents", [(2, 0), (3, 1)], ids=["even", "too-high"])
+def test_odd_extraction_tests_the_grading_of_every_image(monkeypatch, exponents):
+    # t = x2^a*x3^b added to F(x2*x3), with sign -1 and shifted by x1, and
+    # x1*t added to F(x1*x2*x3), with sign +1, cancel in the signed sum: only
+    # the grading test sees them.  x2^2 misses x3, and x2^3*x3 has degree 4
+    real = dclass.apply_operator
+
+    def skewed(ctx, op, f):
+        image = real(ctx, op, f)
+        if len(ctx.gens) == 3:
+            x1, x2, x3 = (ctx.gen(i) for i in range(3))
+            t = x2 ** exponents[0] * x3 ** exponents[1]
+            if f == x2 * x3:
+                return image + t
+            if f == x1 * x2 * x3:
+                return image + x1 * t
+        return image
+
+    monkeypatch.setattr(dclass, "apply_operator", skewed)
+    assert not odd_extraction_check(DD, 2)
 
 
 def test_inductive_subsum_vanishes():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derivcover import cli
 from derivcover.errors import (
@@ -18,13 +19,12 @@ from derivcover.jets import (
     Operator,
     apply_operator,
     derive,
-    odd_component,
     word_name,
 )
 from derivcover.parse import parse_operator, parse_ratfunc
 from derivcover.poly import MPoly, RatFunc, mpoly_gcd, primitive_part
 
-from helpers import random_fraction, random_poly, random_ratfunc_small_den
+from helpers import random_ratfunc_small_den
 
 
 def test_context_symbol_counts():
@@ -301,41 +301,20 @@ def test_word_length_guard_on_apply():
         apply_operator(ctx, Operator.word((0, 0)), ctx.gen(0))
 
 
-def test_odd_component_parity_filter():
-    ctx = JetContext(2)
-    x1, x2 = ctx.gens
-    f = MPoly.from_terms(
-        ctx, [(((x1, 2), (x2, 1)), Fraction(1)), (((x1, 1), (x2, 1)), Fraction(1))]
-    )
-    assert odd_component(f).render() == "x1*x2"
-
-
-def test_odd_component_of_square():
-    ctx = JetContext(2)
-    s = MPoly.var(ctx, ctx.gens[0]) + MPoly.var(ctx, ctx.gens[1])
-    assert odd_component(s * s).render() == "2*x1*x2"
-
-
-def test_odd_component_grades_jets_by_base_generator():
-    # x2 * D1(x1) is odd in both x1 and x2: the jet counts as degree 1 in x1
-    ctx = JetContext(2, 1, 1)
-    x1, x2 = ctx.gens
-    theta = ctx.jet(x1, (0,))
-    f = MPoly.from_terms(ctx, [(((x2, 1), (theta, 1)), Fraction(1))])
-    assert odd_component(f) == f
-
-
-def test_odd_component_idempotent_and_linear():
-    rng = random.Random(4)
-    ctx = JetContext(3)
-    for _ in range(100):
-        f = random_poly(rng, ctx, ctx.gens)
-        g = random_poly(rng, ctx, ctx.gens)
-        c = random_fraction(rng)
-        of = odd_component(f)
-        assert odd_component(of) == of
-        assert odd_component(f + g) == odd_component(f) + odd_component(g)
-        assert odd_component(f.scale(c)) == odd_component(f).scale(c)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_a_letter_keeps_the_generator_of_a_symbol(data):
+    """The grading lemma: one more letter on a symbol of generator g is a
+    symbol of g, whose word is the letter before the old word.  So the
+    Leibniz image of x^alpha has graded degree alpha_g in each g."""
+    gens, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    word = tuple(data.draw(st.lists(st.integers(0, m - 1), max_size=3)))
+    letter, g = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, gens - 1))
+    ctx = JetContext(gens, m, len(word) + 1)
+    v = ctx.jet(g, word) if word else ctx.gens[g]
+    shifted = ctx.shifted_symbol(letter, v)
+    assert ctx.base_of(shifted) == ctx.base_of(v) == g
+    assert ctx.word_of(shifted) == (letter, *word)
 
 
 def test_operator_canonicalization():

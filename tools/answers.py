@@ -7,13 +7,16 @@ Run from the root of a checkout.  It imports derivcover from src/ and the
 benchmark's workloads from bench/, and writes nothing.  It prints one sha256
 per part, so two checkouts give the same answers when every line matches:
 
-    workloads    every check of workloads.build(w, s) for each workload w at
-                 seeds s = 1-3: label, verdict, defect, witness, params and
-                 the result of the check's verify
-    suite-text   the text report of `suite --max-n 4`
-    suite-json   its JSON report
-    coset-funcs  the text reports of `coset check --funcs` on COSET_FUNCS
-    usage        the text and JSON reports of the malformed argv in USAGE_ARGV
+    workloads      every check of workloads.build(w, s) for each workload w at
+                   seeds s = 1-3: label, verdict, defect, witness, params and
+                   the result of the check's verify
+    suite-text     the text report of `suite --max-n 4`
+    suite-json     its JSON report
+    coset-funcs    the text reports of `coset check --funcs` on COSET_FUNCS
+    usage          the text and JSON reports of the malformed argv in USAGE_ARGV
+    suite-default  the text and JSON reports of `suite` at its default
+                   --max-n, which runs every level up to 6; this part adds
+                   about 2 s to the run
 """
 
 import hashlib
@@ -99,9 +102,13 @@ def main() -> None:
             text for report in map(cli.run, USAGE_ARGV)
             for text in (report.to_text(), report.to_json())
         ),
+        "suite-default": sha256(
+            text for report in [cli.run(["suite"])]
+            for text in (report.to_text(), report.to_json())
+        ),
     }
     for name, digest in parts.items():
-        print(f"{name:<12} {digest}")
+        print(f"{name:<14} {digest}")
 
 
 if __name__ == "__main__":
