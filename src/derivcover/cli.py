@@ -11,6 +11,7 @@ or --help where a flag would go builds the argparse tree, to print help.
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import cache
 from fractions import Fraction
@@ -404,7 +405,13 @@ def run(argv: Sequence[str]) -> Report:
 
 def main(argv: Sequence[str] | None = None) -> None:
     report = run(sys.argv[1:] if argv is None else argv)
-    print(report.to_json() if report.format == "json" else report.to_text())
+    try:
+        print(report.to_json() if report.format == "json" else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; the exit code still gives the verdict, and
+        # stdout points at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(report.exit_code)
 
 

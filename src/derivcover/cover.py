@@ -123,8 +123,7 @@ def generic_rn_point(op: Operator, n: int) -> list[CoverPoint]:
     alpha = ctx.gen(0)
     fibers = [ctx.gen(i) for i in range(1, n + 1)]
     fibers.append(level_combination(n, alpha, fibers))
-    bases = alpha.num.powers(n + 1)[1:]
-    return [CoverPoint(RatFunc.from_poly(b), fiber) for b, fiber in zip(bases, fibers)]
+    return [CoverPoint(alpha**i, fiber) for i, fiber in enumerate(fibers, start=1)]
 
 
 def rn_preservation(op: Operator, n: int) -> MembershipVerdict:

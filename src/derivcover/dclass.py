@@ -85,16 +85,14 @@ def level_combination(n: int, a: RatFunc, values: Iterable[RatFunc]) -> RatFunc:
     the order-n identity, with v_i in the place of F(a^i).  Takes the n values
     one at a time, so a generator of them keeps only one alive.
 
-    When a is a polynomial, its powers come from one chain of products, and
-    the terms with a polynomial v_i are added into one packed dict; the
-    others, and every term when a is a fraction, are added one at a time."""
-    powers = a.num.powers(n) if a.den.is_one() else None
+    When a and v_i are both polynomials, the term's product a^(n+1-i) v_i is
+    added into one packed dict; the others are added one at a time."""
     terms: dict[int, Coeff] = {}
     total = RatFunc.zero(a.reg)
     for i, value in zip(range(1, n + 1), values, strict=True):
         c = level_coefficient(n, i)
-        if powers is not None and value.den.is_one():
-            add_product(terms, powers[n + 1 - i], value.num, c)
+        if a.den.is_one() and value.den.is_one():
+            add_product(terms, a.num ** (n + 1 - i), value.num, c)
         else:
             total = total + (a ** (n + 1 - i) * value).scale(c)
     return total + RatFunc.from_poly(MPoly.from_packed(a.reg, terms))

@@ -313,31 +313,10 @@ class MPoly:
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
-    def _times(self, other: "MPoly") -> "MPoly":
-        """Product of two nonzero polynomials whose degrees were checked."""
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            ((ma, ca),) = a.items()
-            return MPoly.from_packed(
-                self.reg, {ma + mb: ca * cb for mb, cb in b.items()}
-            )
-        terms: dict[int, Coeff] = {}
-        get = terms.get
-        items = b.items()
-        for ma, ca in a.items():
-            for mb, cb in items:
-                m = ma + mb
-                terms[m] = get(m, 0) + ca * cb
-        return MPoly.from_packed(self.reg, terms)
-
     def __mul__(self, other: "MPoly") -> "MPoly":
-        if not self.terms or not other.terms:
-            return MPoly.zero(self.reg)
-        self._check(other)
-        _field_guard(self.total_degree() + other.total_degree(), "product")
-        return self._times(other)
+        terms: dict[int, Coeff] = {}
+        add_product(terms, self, other, 1)
+        return MPoly.from_packed(self.reg, terms)
 
     def __pow__(self, k: int) -> "MPoly":
         if not isinstance(k, int) or k < 0:
@@ -354,20 +333,8 @@ class MPoly:
         # usually beats repeated squaring (Fateman 1974)
         result = self
         for _ in range(k - 1):
-            result = result._times(self)
+            result = result * self
         return result
-
-    def powers(self, k: int) -> list["MPoly"]:
-        """[self**0, ..., self**k], refused as self**k is: a single term
-        raised directly, any other polynomial by one chain of products."""
-        _field_guard(self.total_degree() * k, "power")
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            return [MPoly(self.reg, {m * j: c**j}) for j in range(k + 1)]
-        out = [MPoly.const(self.reg, 1)]
-        for _ in range(k):
-            out.append(out[-1]._times(self))
-        return out
 
     def scale(self, c) -> "MPoly":
         if type(c) is not int:
@@ -848,17 +815,23 @@ def add_scaled(terms: dict[int, Coeff], p: MPoly, c: Coeff) -> None:
 
 
 def add_product(terms: dict[int, Coeff], p: MPoly, q: MPoly, c: Coeff) -> None:
-    """Add c*p*q into packed terms in place; refused as p*q is."""
+    """Add c*p*q into packed terms in place: the one schoolbook product, which
+    MPoly.__mul__ runs into an empty dict.  The shorter operand runs the outer
+    loop.  The sums may be zero or integral Fractions; MPoly.from_packed
+    makes them canonical."""
     if p.terms and q.terms:
         p._check(q)
         _field_guard(p.total_degree() + q.total_degree(), "product")
+        a, b = p.terms, q.terms
+        if len(a) > len(b):
+            a, b = b, a
         get = terms.get
-        items = q.terms.items()
-        for mp, cp in p.terms.items():
-            cp *= c
-            for mq, cq in items:
-                m = mp + mq
-                terms[m] = get(m, 0) + cp * cq
+        items = b.items()
+        for ma, ca in a.items():
+            ca *= c
+            for mb, cb in items:
+                m = ma + mb
+                terms[m] = get(m, 0) + ca * cb
 
 
 def fraction_sum(reg: VarRegistry, pairs: Iterable[tuple[MPoly, MPoly]]) -> RatFunc:

@@ -263,6 +263,27 @@ def test_console_entry_point():
         assert f"verdict: {verdict}" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["cover", "psi-check"], 0), (["dn", "separation", "--n", "1"], 1)],
+    ids=["holds", "refuted"],
+)
+def test_a_closed_stdout_keeps_the_report_exit_code(argv, code):
+    # the read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "derivcover.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 
 PINNED_REPORTS = [
     pytest.param(
@@ -749,8 +770,11 @@ def test_int_flags_read_as_the_grammars_read_numbers():
 
 # An argv is a head that names a command, a group or nothing, then flags
 # with values, apart or after '=', and other words.  Values hold digits only
-# from VALUES, so that no drawn level or battery is large.
-HEADS = [name.split() for name in COMMANDS] + [["dn"], ["bogus"], ["dn", "bogus"], []]
+# from VALUES, and the suite head brings its own --max-n, so that no drawn
+# level or battery is large.
+HEADS = [
+    ["suite", "--max-n", "1"] if name == "suite" else name.split() for name in COMMANDS
+] + [["dn"], ["bogus"], ["dn", "bogus"], []]
 FLAGS = ["--n", "--op", "--funcs", "--max-n", "--seed", "--format", "--fo", "--max-degree",
          "-x", "--", "-h", "--help"]
 VALUES = ["1", "2", "0", "-1", "x", "", "D1", "-D1", "D1.D2", "-h D1", "--", "-t", "json", "xml"]

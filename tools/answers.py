@@ -17,6 +17,9 @@ per part, so two checkouts give the same answers when every line matches:
     suite-default  the text and JSON reports of `suite` at its default
                    --max-n, which runs every level up to 6; this part adds
                    about 2 s to the run
+    products       the rendered parse_ratfunc of PRODUCT_TEXTS, then the text
+                   reports of `cover preserve --n k` for k = 1-6 on
+                   PRESERVE_OPS
 """
 
 import hashlib
@@ -30,6 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from derivcover import cli  # noqa: E402
+from derivcover.parse import parse_ratfunc  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
@@ -45,6 +49,21 @@ COSET_FUNCS = [
     "(x*y+1)^2/((x*y+1)*(x^2+y)),x*y",
     "(x^2+y^2-1)*(x-y)/((x^2+y^2-1)*(x+y+2)),x^2,y",
 ]
+
+# Products, powers and quotients of multi-term polynomials, with integer and
+# fractional coefficients.
+PRODUCT_TEXTS = [
+    "(t+u+v+w)^12",
+    "(t+u+v+w)^6*(t-u+v-w)^6",
+    "(x*y+1)^7*(x-y)^5/(x+y+1)^3",
+    "((x^2+y*z+3)/(x*y-z+1))^3*((x*y-z+1)/(x+z))^2",
+    "(x/2+y/3-1)^9*(x-2*y)^4",
+    "(x+y+1)^5*(x-y+2)^4-(x*y+3)^4*(x+1)",
+    "(x^2+x*y+y^2)^6/(x^3-y^3)^2",
+]
+
+# Operators whose level-k relation defects stay nonzero past level 4.
+PRESERVE_OPS = ["D1.D2-D2.D1", "D1.D1+2*D2", "D1.D1.D1.D1.D1.D1", "D1.D2.D3.D4.D5.D6"]
 
 # Malformed argv, as the argparse tree once answered them: a head that names
 # no command, or a whole command, in either format, with one stray part.
@@ -106,6 +125,11 @@ def main() -> None:
             text for report in [cli.run(["suite"])]
             for text in (report.to_text(), report.to_json())
         ),
+        "products": sha256([
+            *(parse_ratfunc(text).render() for text in PRODUCT_TEXTS),
+            *(cli.run(["cover", "preserve", "--n", str(k), "--op", op]).to_text()
+              for op in PRESERVE_OPS for k in range(1, 7)),
+        ]),
     }
     for name, digest in parts.items():
         print(f"{name:<14} {digest}")
