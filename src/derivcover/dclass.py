@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ContextMismatchError, PreconditionError
 from .jets import JetContext, Operator, Word, apply_operator
-from .poly import Coeff, MPoly, RatFunc, add_product, fraction_sum
+from .poly import Coeff, MPoly, RatFunc, add_product, add_scaled, fraction_sum
 
 DEFAULT_LEVEL_CAP = 6
 PROBE_POINTS = 5  # probe_zero: seeded points per identity test
@@ -133,11 +133,14 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     + (-1)^n c_() f^(n+1): the finite difference of the falling factorials
     (i)_r in the unshuffle expansion of w(f^i) cancels every partition into
     fewer or more than n+1 blocks (module docstring).  Each subword's image
-    is computed once per call, from the image of its suffix.  The products
-    are summed unreduced, so those over one denominator share one gcd
-    (fraction_sum).  Linear in op.  f must live in ctx, and each of op's
-    words, in Operator.words() order, must pass ctx.check_word, the check
-    behind ctx.jet, also when no word has a partition into n+1 blocks.
+    is computed once per call, from the image of its suffix.  When f is a
+    polynomial, so is every image, and each partition's product is added
+    into one packed dict (add_product), as at the generic point.  At a
+    fraction the products are summed unreduced, so those over one
+    denominator share one gcd (fraction_sum).  Linear in op.  f must live
+    in ctx, and each of op's words, in Operator.words() order, must pass
+    ctx.check_word, the check behind ctx.jet, also when no word has a
+    partition into n+1 blocks.
     """
     _check_level(n)
     if f.reg is not ctx:
@@ -150,6 +153,19 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
         # u(f) is u's first letter applied to the image of the rest of u
         return apply_operator(ctx, Operator.word(u[:1]), image(u[1:])) if u else f
 
+    scale = math.factorial(n + 1)
+    sign = (-1) ** n
+    if f.den.is_one():
+        terms: dict[int, Coeff] = {}
+        for w, c in op.terms.items():
+            if not w:  # the identity has no partition; it contributes f^(n+1)
+                add_scaled(terms, f.num ** (n + 1), c * sign)
+            for blocks in _partitions(w, n + 1):
+                factors = [image(u).num for u in blocks]
+                add_product(terms, math.prod(factors[1:-1], start=factors[0]), factors[-1],
+                            c * scale)
+        return RatFunc.from_poly(MPoly.from_packed(ctx, terms))
+
     one = MPoly.const(ctx, 1)
 
     def fraction(c: Coeff, blocks: tuple[Word, ...]) -> tuple[MPoly, MPoly]:
@@ -158,10 +174,9 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
         return num, math.prod((g.den for g in factors if not g.den.is_one()), start=one)
 
     def terms() -> Iterator[tuple[MPoly, MPoly]]:
-        scale = math.factorial(n + 1)
         for w, c in op.terms.items():
-            if not w:  # the identity has no partition; it contributes f^(n+1)
-                yield (f.num ** (n + 1)).scale(c * (-1) ** n), f.den ** (n + 1)
+            if not w:
+                yield (f.num ** (n + 1)).scale(c * sign), f.den ** (n + 1)
             for blocks in _partitions(w, n + 1):
                 yield fraction(c * scale, blocks)
 
@@ -173,15 +188,20 @@ def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
 
     The generic point is universal for word-algebra operators: the defect is
     a polynomial in free jet symbols, so it vanishes identically iff the
-    identity holds for all complex numbers and all derivations.  The jet of
-    every subword of op's words is placed first, in one pass
-    (JetContext.place_subwords), as the Leibniz action on F(f^(n+1)) reaches
-    them all, so a witness assigns every jet that any term of that expansion
-    reads.  dn_defect checks the level.
+    identity holds for all complex numbers and all derivations.  A holds
+    verdict keeps only the symbols the defect reached.  Before a nonzero
+    defect's witness is built, the jet of every subword of op's words is
+    placed, in one pass (JetContext.place_subwords), as the Leibniz action
+    on F(f^(n+1)) reaches them all, so the witness assigns every jet that
+    any term of that expansion reads.  A jet's index depends only on its
+    generator and word, so placing after the defect changes no symbol.
+    dn_defect checks the level.
     """
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
-    ctx.place_subwords(op.terms)
-    return MembershipVerdict.of(dn_defect(ctx, op, n, ctx.gen(0)))
+    defect = dn_defect(ctx, op, n, ctx.gen(0))
+    if not defect.is_zero():
+        ctx.place_subwords(op.terms)
+    return MembershipVerdict.of(defect)
 
 
 def polarization_defect(op: Operator, n: int) -> RatFunc:
@@ -196,17 +216,21 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
     image is every generator (inclusion-exclusion).  A surjection is a
     partition into n+1 blocks with the blocks dealt to the generators in
     some order, and each factor is one jet symbol, so every term is a
-    squarefree monomial in the jets.  The jet of every subword is placed at
-    every generator by JetContext.place_subwords, as in is_in_dn.
+    squarefree monomial in the jets.  As in is_in_dn, the jet of every
+    subword is placed at every generator only when the defect is nonzero.
     """
     _check_level(n)
-    return _polarization(JetContext(n + 1, op.alphabet_span(), op.max_word_len()), op, n)
+    ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
+    defect = _polarization(ctx, op, n)
+    if not defect.is_zero():
+        ctx.place_subwords(op.terms)
+    return defect
 
 
 def _polarization(ctx: JetContext, op: Operator, n: int) -> RatFunc:
-    """polarization_defect in ctx, a context of n+1 generators."""
+    """polarization_defect in ctx, a context of n+1 generators; it places
+    only the jets of the blocks it deals."""
     gens = range(n + 1)
-    ctx.place_subwords(op.terms)
 
     @cache
     def units(u: Word) -> list[int]:
@@ -240,12 +264,15 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     sum_{S nonempty} (-1)^(n+1-|S|) x^(S^c) F(x_S) is the closed form of
     polarization_defect.  So op is applied to the 2^(n+1) - 1 monomials
     x_S, each image term is tested for that grading, and the signed sum is
-    compared with the closed form.
+    compared with the closed form.  The test reads each generator's jet
+    fields, so the jet of every subword is placed first, at every generator
+    (JetContext.place_subwords): every jet an image reaches is among them.
     """
     if not is_in_dn(op, n).in_dn:
         raise PreconditionError("parity extraction is only asserted for members of the class")
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
-    closed = _polarization(ctx, op, n).as_poly()  # places every jet an image reaches
+    ctx.place_subwords(op.terms)  # every jet an image reaches, for the masks below
+    closed = _polarization(ctx, op, n).as_poly()
     low = [0] * (n + 1)  # the lowest bit of the field of each jet of a generator
     for v in ctx.symbols():
         low[ctx.base_of(v)] |= ctx.unit(v) - 1

@@ -12,9 +12,11 @@ universally quantified identities into finite computations.
 
 Jet symbols are allocated when first asked for, as differential algebra
 treats the derivatives of an indeterminate, so a context holds only the
-symbols the Leibniz action has reached, or those placed for every subword of
-an operator's words (JetContext.place_subwords).  A jet is placed by its
-index alone, and its name is built from that index when it is first printed:
+symbols the Leibniz action has reached.  A membership check places the jet
+of every subword of the operator's words (JetContext.place_subwords) only
+when it refutes, so that its witness assigns them all; the parity
+extraction places them for its grading test.  A jet is placed by its index
+alone, and its name is built from that index when it is first printed:
 word_name spells its word, the one spelling of a word everywhere.
 Names are looked up only for the generators: the expression grammar's names
 (`[a-z][0-9]*`) cannot spell a jet.

@@ -778,7 +778,7 @@ class RatFunc:
         if not isinstance(k, int) or k < 0:
             raise ValueError("RatFunc powers take nonnegative integer exponents")
         # num and den are coprime, so the powers stay coprime (Gauss)
-        return RatFunc(self.num**k, self.den**k)
+        return RatFunc(self.num**k, self.den if self.den.is_one() else self.den**k)
 
     def scale(self, c) -> "RatFunc":
         return RatFunc(self.num.scale(c), self.den) if c != 0 else RatFunc.zero(self.reg)

@@ -359,7 +359,8 @@ IDENTITY_TERM_OPS = [
     Operator.from_terms([((), Fraction(-2, 3)), ((0, 0, 0), Fraction(1)), ((2, 0, 2), Fraction(5))]),
 ]
 
-ELEMENTS = ["x1", "(x1^2+x1)/(x1-2)", "1/(x1^2+1)"]
+# polynomials, whose defects are summed in packed form, and fractions
+ELEMENTS = ["x1", "x1^2-3*x1+1", "2*x1^3+x1/2", "(x1^2+x1)/(x1-2)", "1/(x1^2+1)"]
 
 # At a fraction f = N/d, a block of length j has an image over d^(j+1), so
 # the level-1 defect sums the identity's f^2 over d^2 and the products of
@@ -448,9 +449,9 @@ def _jet_by_jet(ctx, words):
     st.booleans(),
 )
 def test_one_pass_placement_matches_jet_by_jet(k, words, filled):
-    # place_subwords, which is_in_dn and _polarization call, leaves the same
-    # symbols, fields and names as asking for each jet; also in a context
-    # the Leibniz action has filled, as odd_extraction_check's is
+    # place_subwords, which refuted membership checks and odd_extraction_check
+    # call, leaves the same symbols, fields and names as asking for each jet;
+    # also in a context the Leibniz action has filled, as a refuted check's is
     op = Operator.from_terms((w, Fraction(1)) for w in words)
     contexts = []
     for place in (JetContext.place_subwords, _jet_by_jet):
@@ -476,28 +477,46 @@ def test_one_pass_placement_matches_jet_by_jet(k, words, filled):
 
 
 def test_witness_assigns_every_jet_the_expansion_allocates():
-    # repeated letters (D1.D1.D1, D3.D1.D3) reach each subword more than once
+    # repeated letters (D1.D1.D1, D3.D1.D3) reach each subword more than once;
+    # a refuted check holds every jet the expansion allocates, and its witness
+    # assigns them all, while one that holds keeps only what its defect reached
     ops = _distinct_ops((0, 3)) + [
         Operator.from_terms([((0, 0, 0), Fraction(1)), ((2, 0, 2), Fraction(-2))]),
         Operator.from_terms([((2, 0, 2, 0), Fraction(1)), ((1,), Fraction(1, 2))]),
     ]
-    refuted = 0
+    refuted = held = 0
     for op in ops:
         for n in (1, 2, 3):
             ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
             expanded_dn_defect(ctx, op, n, ctx.gen(0))
             verdict = is_in_dn(op, n)
-            assert _allocated(verdict.defect.reg) == _allocated(ctx), (op.render(), n)
             if verdict.witness is not None:
                 refuted += 1
+                assert _allocated(verdict.defect.reg) == _allocated(ctx), (op.render(), n)
                 assignment, _ = verdict.witness
                 names = [ctx.name(v) for v in sorted(assignment)]
                 assert names == _allocated(ctx), (op.render(), n)
+            else:
+                held += 1
+                reached = set(_allocated(verdict.defect.reg))
+                assert reached <= set(_allocated(ctx)), (op.render(), n)
             pctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
             expanded_polarization_defect(pctx, op, n)
-            polar = polarization_defect(op, n).reg
-            assert _allocated(polar) == _allocated(pctx), (op.render(), n)
-    assert refuted > 20
+            polar = polarization_defect(op, n)
+            if polar.is_zero():
+                assert set(_allocated(polar.reg)) <= set(_allocated(pctx)), (op.render(), n)
+            else:
+                assert _allocated(polar.reg) == _allocated(pctx), (op.render(), n)
+    assert refuted > 20 and held > 20
+
+
+def test_holds_verdict_allocates_only_what_it_reached():
+    # D1...D7 has no partition into 8 blocks and D1...D5 none into 6, so
+    # neither defect reaches a jet: only the generators are allocated
+    assert is_in_dn(Operator.word(range(7)), 7).defect.reg.num_vars == 1
+    assert polarization_defect(Operator.word(range(5)), 5).reg.num_vars == 6
+    # a refuted check places the jet of every subword: 2^7 - 1 jets and x1
+    assert is_in_dn(Operator.word(range(7)), 6).defect.reg.num_vars == 128
 
 
 def test_find_witness_matches_the_chain():

@@ -20,11 +20,16 @@ per part, so two checkouts give the same answers when every line matches:
     products       the rendered parse_ratfunc of PRODUCT_TEXTS, then the text
                    reports of `cover preserve --n k` for k = 1-6 on
                    PRESERVE_OPS
+    membership     the text and JSON reports of `dn check` and `dn polarize`
+                   on MEMBERSHIP_ARGV: the operators of default_test_set at
+                   seeds 0-2 at levels 1-6, and the first three words of k
+                   distinct letters, k = 2-6, at levels k-2 to k (from 1)
 """
 
 import hashlib
 import json
 import sys
+from itertools import islice, permutations
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave bench/ as it is
@@ -33,6 +38,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from derivcover import cli  # noqa: E402
+from derivcover.dclass import default_test_set  # noqa: E402
+from derivcover.jets import Operator  # noqa: E402
 from derivcover.parse import parse_ratfunc  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -64,6 +71,22 @@ PRODUCT_TEXTS = [
 
 # Operators whose level-k relation defects stay nonzero past level 4.
 PRESERVE_OPS = ["D1.D2-D2.D1", "D1.D1+2*D2", "D1.D1.D1.D1.D1.D1", "D1.D2.D3.D4.D5.D6"]
+
+# Membership checks that hold and that refute, each operator once: holds
+# reports keep only the symbols the defect reached, refuted ones every jet.
+MEMBERSHIP_OPS = list(
+    dict.fromkeys(op.render() for seed in (0, 1, 2) for op in default_test_set(seed=seed))
+)
+MEMBERSHIP_ARGV = [
+    [*command, "--n", str(n), "--op", op]
+    for op, levels in [
+        *((op, range(1, 7)) for op in MEMBERSHIP_OPS),
+        *((Operator.word(w).render(), range(max(1, k - 2), k + 1))
+          for k in range(2, 7) for w in islice(permutations(range(k)), 3)),
+    ]
+    for n in levels
+    for command in (["dn", "check"], ["dn", "polarize"])
+]
 
 # Malformed argv, as the argparse tree once answered them: a head that names
 # no command, or a whole command, in either format, with one stray part.
@@ -130,6 +153,10 @@ def main() -> None:
             *(cli.run(["cover", "preserve", "--n", str(k), "--op", op]).to_text()
               for op in PRESERVE_OPS for k in range(1, 7)),
         ]),
+        "membership": sha256(
+            text for report in map(cli.run, MEMBERSHIP_ARGV)
+            for text in (report.to_text(), report.to_json())
+        ),
     }
     for name, digest in parts.items():
         print(f"{name:<14} {digest}")
