@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ContextMismatchError, PreconditionError
 from .jets import JetContext, Operator, Word, apply_operator
-from .poly import Coeff, MPoly, RatFunc, add_product, add_scaled, fraction_sum
+from .poly import Coeff, MPoly, RatFunc, add_product, add_scaled
 
 DEFAULT_LEVEL_CAP = 6
 PROBE_POINTS = 5  # probe_zero: seeded points per identity test
@@ -133,14 +133,17 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     + (-1)^n c_() f^(n+1): the finite difference of the falling factorials
     (i)_r in the unshuffle expansion of w(f^i) cancels every partition into
     fewer or more than n+1 blocks (module docstring).  Each subword's image
-    is computed once per call, from the image of its suffix.  When f is a
-    polynomial, so is every image, and each partition's product is added
-    into one packed dict (add_product), as at the generic point.  At a
-    fraction the products are summed unreduced, so those over one
-    denominator share one gcd (fraction_sum).  Linear in op.  f must live
-    in ctx, and each of op's words, in Operator.words() order, must pass
-    ctx.check_word, the check behind ctx.jet, also when no word has a
-    partition into n+1 blocks.
+    is computed once per call, from the image of its suffix.  With f over
+    d, a block's image u(f) lies over d r^|u| (jets.derive), so every
+    partition product of a word of length k lies over d^(n+1) r^k, and
+    f^(n+1) over d^(n+1) is the case k = 0.  So one loop adds each
+    product's numerator into one packed dict per word length
+    (add_product), takes that length's denominator from its first
+    partition, and reduces each length's sum once (RatFunc.make).  A
+    polynomial has d = r = 1.  Linear in op.  f must live in ctx, and each
+    of op's words, in Operator.words() order, must pass ctx.check_word, the
+    check behind ctx.jet, also when no word has a partition into n+1
+    blocks.
     """
     _check_level(n)
     if f.reg is not ctx:
@@ -155,32 +158,20 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
 
     scale = math.factorial(n + 1)
     sign = (-1) ** n
-    if f.den.is_one():
-        terms: dict[int, Coeff] = {}
-        for w, c in op.terms.items():
-            if not w:  # the identity has no partition; it contributes f^(n+1)
-                add_scaled(terms, f.num ** (n + 1), c * sign)
-            for blocks in _partitions(w, n + 1):
-                factors = [image(u).num for u in blocks]
-                add_product(terms, math.prod(factors[1:-1], start=factors[0]), factors[-1],
-                            c * scale)
-        return RatFunc.from_poly(MPoly.from_packed(ctx, terms))
-
     one = MPoly.const(ctx, 1)
-
-    def fraction(c: Coeff, blocks: tuple[Word, ...]) -> tuple[MPoly, MPoly]:
-        factors = [image(u) for u in blocks]
-        num = math.prod((g.num for g in factors[1:]), start=factors[0].num.scale(c))
-        return num, math.prod((g.den for g in factors if not g.den.is_one()), start=one)
-
-    def terms() -> Iterator[tuple[MPoly, MPoly]]:
-        for w, c in op.terms.items():
-            if not w:
-                yield (f.num ** (n + 1)).scale(c * sign), f.den ** (n + 1)
-            for blocks in _partitions(w, n + 1):
-                yield fraction(c * scale, blocks)
-
-    return fraction_sum(ctx, terms())
+    sums: dict[int, tuple[MPoly, dict[int, Coeff]]] = {}  # word length -> (den, numerators)
+    for w, c in op.terms.items():
+        if not w:  # the identity has no partition; it contributes f^(n+1)
+            add_scaled(sums.setdefault(0, (f.den ** (n + 1), {}))[1], f.num ** (n + 1), c * sign)
+        for blocks in _partitions(w, n + 1):
+            if len(w) not in sums:  # every partition of this length shares its denominator
+                dens = [image(u).den for u in blocks]
+                sums[len(w)] = math.prod([d for d in dens if not d.is_one()], start=one), {}
+            factors = [image(u).num for u in blocks]
+            add_product(sums[len(w)][1], math.prod(factors[1:-1], start=factors[0]), factors[-1],
+                        c * scale)
+    parts = (RatFunc.make(MPoly.from_packed(ctx, terms), den) for den, terms in sums.values())
+    return sum(parts, start=RatFunc.zero(ctx))
 
 
 def is_in_dn(op: Operator, n: int) -> MembershipVerdict:

@@ -212,7 +212,8 @@ def derive(ctx: JetContext, letter: int, f: RatFunc) -> RatFunc:
     p does not divide D(p) (module docstring), so p divides D(den) exactly
     e − 1 times, g = prod p^(e−1) and r = prod p.  Modulo p the numerator
     is −N·e·D(p)·prod_{q != p} q, which is nonzero, so it shares no factor
-    with den·r.
+    with den·r.  The result's denominator d·r has the same radical r, so
+    every word u of letters sends f over d to u(f) over d·r^|u|.
     """
     if f.reg is not ctx:
         raise ContextMismatchError("rational function does not live in this context")

@@ -51,7 +51,6 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from functools import reduce
 from typing import Collection, Iterable, Mapping
 
 from .errors import (
@@ -832,21 +831,3 @@ def add_product(terms: dict[int, Coeff], p: MPoly, q: MPoly, c: Coeff) -> None:
             for mb, cb in items:
                 m = ma + mb
                 terms[m] = get(m, 0) + ca * cb
-
-
-def fraction_sum(reg: VarRegistry, pairs: Iterable[tuple[MPoly, MPoly]]) -> RatFunc:
-    """Sum of the fractions num/den over reg, given as pairs that need not be
-    reduced.
-
-    The numerators over one denominator are added into one accumulator and
-    reduced once, so many fractions over a shared denominator cost their
-    total size and one gcd, not one copy of the running total and one gcd
-    each.  The sums over distinct denominators are added in one fold.
-    """
-    groups: dict[frozenset, tuple[MPoly, dict[int, Coeff]]] = {}
-    for num, den in pairs:
-        if num.reg is not reg or den.reg is not reg:
-            raise ContextMismatchError("summands belong to different registries")
-        add_scaled(groups.setdefault(frozenset(den.terms.items()), (den, {}))[1], num, 1)
-    sums = [RatFunc.make(MPoly.from_packed(reg, t), den) for den, t in groups.values()]
-    return reduce(RatFunc.__add__, sums) if sums else RatFunc.zero(reg)

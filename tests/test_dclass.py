@@ -359,12 +359,15 @@ IDENTITY_TERM_OPS = [
     Operator.from_terms([((), Fraction(-2, 3)), ((0, 0, 0), Fraction(1)), ((2, 0, 2), Fraction(5))]),
 ]
 
-# polynomials, whose defects are summed in packed form, and fractions
-ELEMENTS = ["x1", "x1^2-3*x1+1", "2*x1^3+x1/2", "(x1^2+x1)/(x1-2)", "1/(x1^2+1)"]
+# polynomials, and fractions over squarefree and repeated factors
+ELEMENTS = [
+    "x1", "x1^2-3*x1+1", "2*x1^3+x1/2", "(x1^2+x1)/(x1-2)", "1/(x1^2+1)", "x1/(x1^2-2)^3",
+]
 
-# At a fraction f = N/d, a block of length j has an image over d^(j+1), so
-# the level-1 defect sums the identity's f^2 over d^2 and the products of
-# the two- and three-letter words over d^4 and d^5: three denominator groups.
+# At a fraction f = N/d, with r the product of d's distinct irreducible
+# factors, a block u has an image over d*r^|u|, so the level-n defect sums
+# the identity's f^(n+1) over d^(n+1) and the products of a word w over
+# d^(n+1)*r^|w|: at level 1, three denominator groups.
 SEVERAL_DENOMINATORS_OP = Operator.from_terms(
     [((), Fraction(1, 2)), ((1,), Fraction(-1)), ((0, 2), Fraction(2)), ((2, 1, 0), Fraction(3))]
 )

@@ -22,7 +22,7 @@ from derivcover.jets import (
     word_name,
 )
 from derivcover.parse import parse_operator, parse_ratfunc
-from derivcover.poly import MPoly, RatFunc, mpoly_gcd, primitive_part
+from derivcover.poly import MPoly, RatFunc, div_exact, mpoly_gcd, primitive_part
 
 from helpers import random_ratfunc_small_den
 
@@ -185,6 +185,23 @@ def test_derive_fraction_is_the_reduced_quotient_rule(text):
             assert f == RatFunc.make(quotient_rule, den * den), (text, word)
             assert mpoly_gcd(f.num, f.den) == one
             assert primitive_part(f.den) == f.den
+
+
+@pytest.mark.parametrize(
+    "text, gens",
+    [("x1/(x1^2-2)^3", 1), ("(x1^2+x1)/((x1-2)^2*x1^3)", 1), *((text, 2) for text in FRACTIONS)],
+)
+def test_each_letter_raises_the_denominator_by_its_radical(text, gens):
+    # den(u(f)) = den(f) * r^|u| for every word u, with one r for every
+    # letter: the rule dn_defect reads one denominator per word length by
+    ctx = JetContext(gens, 2, 3)
+    f = parse_ratfunc(text, ctx, allow_new_vars=False)
+    r = div_exact(derive(ctx, 0, f).den, f.den)
+    assert not r.is_constant()
+    for length in (1, 2, 3):
+        for word in product(range(2), repeat=length):
+            image = apply_operator(ctx, Operator.word(word), f)
+            assert image.den == f.den * r**length, (text, word)
 
 
 def test_derive_refuses_a_fraction_from_another_context():

@@ -26,7 +26,6 @@ from derivcover.poly import (
     div_exact,
     mono_key,
     mpoly_gcd,
-    fraction_sum,
     primitive_part,
 )
 
@@ -114,29 +113,6 @@ def test_context_mismatch_detected():
     u, _ = t_var()
     with pytest.raises(ContextMismatchError):
         t + u
-
-
-def test_fraction_sum_matches_adding_one_at_a_time():
-    # unreduced pairs over a few shared denominators, polynomials among them,
-    # and negated copies so that whole groups cancel
-    rng = random.Random(11)
-    reg = VarRegistry()
-    vs = (reg.add_generator("t"), reg.add_generator("u"))
-    one = MPoly.const(reg, 1)
-    dens = [one] + [random_nonzero_poly(rng, reg, vs, max_terms=2) for _ in range(3)]
-    for count in (0, 1, 2, 3, 7, 12):
-        pairs = [
-            (random_poly(rng, reg, vs, fractions=True), rng.choice(dens))
-            for _ in range(count)
-        ]
-        pairs += [(-num, den) for num, den in pairs[: count // 3]]
-        folded = RatFunc.zero(reg)
-        for num, den in pairs:
-            folded = folded + RatFunc.make(num, den)
-        assert fraction_sum(reg, pairs) == folded
-    t, _ = t_var()
-    with pytest.raises(ContextMismatchError):
-        fraction_sum(reg, [(t.num, one)])
 
 
 def test_evaluate_commutes_with_ring_ops():

@@ -24,6 +24,9 @@ per part, so two checkouts give the same answers when every line matches:
                    on MEMBERSHIP_ARGV: the operators of default_test_set at
                    seeds 0-2 at levels 1-6, and the first three words of k
                    distinct letters, k = 2-6, at levels k-2 to k (from 1)
+    fractions      the rendered apply_operator and dn_defect at levels 1-3 of
+                   the operators of default_test_set(seed=0) at each of
+                   FRACTION_ELEMENTS
 """
 
 import hashlib
@@ -38,8 +41,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from derivcover import cli  # noqa: E402
-from derivcover.dclass import default_test_set  # noqa: E402
-from derivcover.jets import Operator  # noqa: E402
+from derivcover.dclass import TEST_SET_LETTERS, default_test_set, dn_defect  # noqa: E402
+from derivcover.jets import JetContext, Operator, apply_operator  # noqa: E402
 from derivcover.parse import parse_ratfunc  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -88,6 +91,16 @@ MEMBERSHIP_ARGV = [
     for command in (["dn", "check"], ["dn", "polarize"])
 ]
 
+# Fractions over repeated, coprime-product and two-generator denominators, each
+# with the number of generators of its context.
+FRACTION_ELEMENTS = [
+    ("x1/(x1^2-2)^3", 1),
+    ("(x1^2+x1)/((x1-2)^2*x1^3)", 1),
+    ("(x1+3)/((x1^2+1)*(x1-2))", 1),
+    ("(x1*x2-1)/(x1^3*(x2+2)^2)", 2),
+    ("x2/((x1^2+1)^2*(x1-3))", 2),
+]
+
 # Malformed argv, as the argparse tree once answered them: a head that names
 # no command, or a whole command, in either format, with one stray part.
 OTHER_HEADS = [["dn"], ["cover"], ["bogus"], ["dn", "bogus"], [], ["dn check"]]
@@ -131,6 +144,15 @@ def workload_answers():
                 yield json.dumps(answer, sort_keys=True, default=str)
 
 
+def fraction_answers():
+    for text, gens in FRACTION_ELEMENTS:
+        ctx = JetContext(gens, TEST_SET_LETTERS, 3)
+        f = parse_ratfunc(text, ctx, allow_new_vars=False)
+        for op in default_test_set(seed=0):
+            yield apply_operator(ctx, op, f).render()
+            yield from (dn_defect(ctx, op, n, f).render() for n in (1, 2, 3))
+
+
 def main() -> None:
     suite = cli.run(["suite", "--max-n", "4"])
     parts = {
@@ -157,6 +179,7 @@ def main() -> None:
             text for report in map(cli.run, MEMBERSHIP_ARGV)
             for text in (report.to_text(), report.to_json())
         ),
+        "fractions": sha256(fraction_answers()),
     }
     for name, digest in parts.items():
         print(f"{name:<14} {digest}")
