@@ -16,7 +16,9 @@ w|_B keeps the letters of block B in order.  The identity's combination of
 the falling factorials (i)_r is the (n+1)-th finite difference of a degree-r
 polynomial at 0: (n+1)! for r = n+1 and 0 for every other r >= 1.  Only the
 partitions into exactly n+1 blocks survive, so a word shorter than n+1
-contributes nothing, and a word of length n+1 one product.  The multilinear
+contributes nothing, and a word of length n+1 one product.  Partitions with
+equal multisets of block subwords give equal products, so Pi_r(w) is counted
+by block multiset (_block_counts).  The multilinear
 (polarized) form keeps the surjections of w's positions onto the n+1
 generators, by inclusion-exclusion over the generators that receive no
 letter.  An identity term c (the empty word) contributes (-1)^n c f^(n+1).
@@ -34,10 +36,9 @@ in each generator g (the grading lemma; odd_extraction_check).
 import math
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, count, permutations, product
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ContextMismatchError, PreconditionError
 from .jets import JetContext, Operator, Word, apply_operator
@@ -98,30 +99,32 @@ def level_combination(n: int, a: RatFunc, values: Iterable[RatFunc]) -> RatFunc:
     return total + RatFunc.from_poly(MPoly.from_packed(a.reg, terms))
 
 
-def _partitions(word: Word, blocks: int) -> Iterator[tuple[Word, ...]]:
-    """The set partitions of word's positions into exactly `blocks` blocks,
-    each block given as the subword it keeps, blocks ordered by their first
-    position."""
-    k = len(word)
-    parts: list[Word] = []
+def _block_counts(word: Word, blocks: int) -> dict[tuple[Word, ...], int]:
+    """The set partitions of word's positions into `blocks` blocks, counted
+    by multiset: each sorted tuple of block subwords maps to its number of
+    partitions.  Reads word left to right; each letter opens a block or joins
+    an open one, and equal states (the sorted open blocks) merge."""
+    states: dict[tuple[Word, ...], int] = {(): 1} if blocks <= len(word) else {}
+    for left, letter in zip(range(len(word), 0, -1), word):  # left: positions from here on
+        step: dict[tuple[Word, ...], int] = {}
+        for state, ways in states.items():
+            grown = [state + ((letter,),)] if len(state) < blocks else []
+            if left > blocks - len(state):  # enough positions left to open the rest
+                grown += [state[:j] + (u + (letter,),) + state[j + 1 :]
+                          for j, u in enumerate(state)]
+            for new in map(tuple, map(sorted, grown)):
+                step[new] = step.get(new, 0) + ways
+        states = step
+    return states
 
-    def place(i: int) -> Iterator[tuple[Word, ...]]:
-        if i == k:
-            yield tuple(parts)
-            return
-        letter = word[i]
-        if k - i > blocks - len(parts):  # enough positions left to open the rest
-            for j in range(len(parts)):
-                part = parts[j]
-                parts[j] = part + (letter,)
-                yield from place(i + 1)
-                parts[j] = part
-        if len(parts) < blocks:
-            parts.append((letter,))
-            yield from place(i + 1)
-            parts.pop()
 
-    return place(0) if blocks <= k else iter(())
+def _blocks(op: Operator, n: int) -> tuple[dict[Word, dict], list[Word]]:
+    """_block_counts of op's words into n+1 blocks, and their blocks in jet
+    index order.  A block's suffix is a block or empty: a subword u of w
+    with |u| <= |w| - n is a block of some partition (the rest make n)."""
+    counts = {w: _block_counts(w, n + 1) for w in op.terms}
+    dealt = {u for multisets in counts.values() for blocks in multisets for u in blocks}
+    return counts, sorted(dealt, key=lambda u: (len(u), u))
 
 
 def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
@@ -132,14 +135,15 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     (n+1)! sum_w c_w sum_{pi in Pi_{n+1}(w)} prod_{B in pi} (w|_B)(f)
     + (-1)^n c_() f^(n+1): the finite difference of the falling factorials
     (i)_r in the unshuffle expansion of w(f^i) cancels every partition into
-    fewer or more than n+1 blocks (module docstring).  Each subword's image
-    is computed once per call, from the image of its suffix.  With f over
+    fewer or more than n+1 blocks (module docstring).  Each block multiset
+    gives one product, times its count, and each block's image is built
+    once, from its suffix's, in jet index order (_blocks).  With f over
     d, a block's image u(f) lies over d r^|u| (jets.derive), so every
     partition product of a word of length k lies over d^(n+1) r^k, and
     f^(n+1) over d^(n+1) is the case k = 0.  So one loop adds each
     product's numerator into one packed dict per word length
     (add_product), takes that length's denominator from its first
-    partition, and reduces each length's sum once (RatFunc.make).  A
+    multiset, and reduces each length's sum once (RatFunc.make).  A
     polynomial has d = r = 1.  Linear in op.  f must live in ctx, and each
     of op's words, in Operator.words() order, must pass ctx.check_word, the
     check behind ctx.jet, also when no word has a partition into n+1
@@ -150,12 +154,10 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
         raise ContextMismatchError("the element does not live in this context")
     for w in op.words():
         ctx.check_word(w)
-
-    @cache
-    def image(u: Word) -> RatFunc:
-        # u(f) is u's first letter applied to the image of the rest of u
-        return apply_operator(ctx, Operator.word(u[:1]), image(u[1:])) if u else f
-
+    counts, dealt = _blocks(op, n)
+    image = {(): f}
+    for u in dealt:  # u's first letter applied to the image of its suffix
+        image[u] = apply_operator(ctx, Operator.word(u[:1]), image[u[1:]])
     scale = math.factorial(n + 1)
     sign = (-1) ** n
     one = MPoly.const(ctx, 1)
@@ -163,13 +165,13 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     for w, c in op.terms.items():
         if not w:  # the identity has no partition; it contributes f^(n+1)
             add_scaled(sums.setdefault(0, (f.den ** (n + 1), {}))[1], f.num ** (n + 1), c * sign)
-        for blocks in _partitions(w, n + 1):
-            if len(w) not in sums:  # every partition of this length shares its denominator
-                dens = [image(u).den for u in blocks]
+        for blocks, ways in counts[w].items():
+            if len(w) not in sums:  # every product of this length shares its denominator
+                dens = [image[u].den for u in blocks]
                 sums[len(w)] = math.prod([d for d in dens if not d.is_one()], start=one), {}
-            factors = [image(u).num for u in blocks]
+            factors = [image[u].num for u in blocks]
             add_product(sums[len(w)][1], math.prod(factors[1:-1], start=factors[0]), factors[-1],
-                        c * scale)
+                        c * scale * ways)
     parts = (RatFunc.make(MPoly.from_packed(ctx, terms), den) for den, terms in sums.values())
     return sum(parts, start=RatFunc.zero(ctx))
 
@@ -180,13 +182,13 @@ def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
     The generic point is universal for word-algebra operators: the defect is
     a polynomial in free jet symbols, so it vanishes identically iff the
     identity holds for all complex numbers and all derivations.  A holds
-    verdict keeps only the symbols the defect reached.  Before a nonzero
-    defect's witness is built, the jet of every subword of op's words is
-    placed, in one pass (JetContext.place_subwords), as the Leibniz action
-    on F(f^(n+1)) reaches them all, so the witness assigns every jet that
-    any term of that expansion reads.  A jet's index depends only on its
-    generator and word, so placing after the defect changes no symbol.
-    dn_defect checks the level.
+    verdict keeps only the jets of the defect's blocks (dn_defect).  Before
+    a nonzero defect's witness is built, the jet of every subword of op's
+    words is placed, in one pass (JetContext.place_subwords), as the
+    Leibniz action on F(f^(n+1)) reaches them all, so the witness assigns
+    every jet that any term of that expansion reads.  A jet's index depends
+    only on its generator and word, so placing after the defect changes no
+    symbol.  dn_defect checks the level.
     """
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
     defect = dn_defect(ctx, op, n, ctx.gen(0))
@@ -207,7 +209,8 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
     image is every generator (inclusion-exclusion).  A surjection is a
     partition into n+1 blocks with the blocks dealt to the generators in
     some order, and each factor is one jet symbol, so every term is a
-    squarefree monomial in the jets.  As in is_in_dn, the jet of every
+    squarefree monomial in the jets; each block multiset is dealt in every
+    order, times its count.  As in is_in_dn, the jet of every
     subword is placed at every generator only when the defect is nonzero.
     """
     _check_level(n)
@@ -220,23 +223,19 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
 
 def _polarization(ctx: JetContext, op: Operator, n: int) -> RatFunc:
     """polarization_defect in ctx, a context of n+1 generators; it places
-    only the jets of the blocks it deals."""
+    only the jets of the blocks it deals, in index order (_blocks)."""
     gens = range(n + 1)
-
-    @cache
-    def units(u: Word) -> list[int]:
-        # the packed jet of block u at each generator, once per call
-        return [ctx.unit(ctx.jet(g, u)) for g in gens]
-
+    counts, dealt = _blocks(op, n)
+    units = {u: [ctx.unit(ctx.jet(g, u)) for g in gens] for u in dealt}  # u's packed jets
     terms: dict[int, Coeff] = {}
     if () in op.terms:
         terms[sum(map(ctx.unit, ctx.gens))] = op.terms[()] * (-1) ** n
     for w, c in op.terms.items():
-        for blocks in _partitions(w, n + 1):
-            rows = [units(u) for u in blocks]
+        for blocks, ways in counts[w].items():
+            rows = [units[u] for u in blocks]
             for order in permutations(gens):
                 m = sum(row[g] for g, row in zip(order, rows))
-                terms[m] = terms.get(m, 0) + c
+                terms[m] = terms.get(m, 0) + c * ways
     return RatFunc.from_poly(MPoly.from_packed(ctx, terms))
 
 

@@ -14,6 +14,7 @@ The multilinear level-1 defect of D.D is
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count
 
@@ -42,7 +43,7 @@ from derivcover.jets import JetContext, Operator, apply_operator
 from derivcover.parse import parse_operator, parse_ratfunc
 from derivcover.poly import _MAX_EXP, MPoly, RatFunc, _dense_in
 
-from helpers import eulerian_order
+from helpers import _set_partitions, eulerian_order
 
 
 D = Operator.word((0,))
@@ -627,3 +628,65 @@ def test_eulerian_order_of_commutators_and_an_identity_term():
     identity = Operator.from_terms([((), 1), ((0,), 1)])
     orders = [assert_eulerian_membership(op) for op in (commutator, triple, identity)]
     assert orders == [1, 1, None]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(st.integers(0, m - 1), max_size=7)))
+def test_block_counts_match_the_enumerated_partitions(word):
+    # every set partition of the positions, grouped by its sorted block
+    # subwords; r = len(word) + 1 has none
+    word = tuple(word)
+    enumerated = Counter(
+        tuple(sorted(tuple(word[i] for i in block) for block in blocks))
+        for blocks in _set_partitions(len(word))
+    )
+    for r in range(1, len(word) + 2):
+        expected = {blocks: ways for blocks, ways in enumerated.items() if len(blocks) == r}
+        assert dclass._block_counts(word, r) == expected, (word, r)
+
+
+@pytest.mark.parametrize("k, r", [(12, 5), (14, 6)])
+def test_repeated_letter_counts_are_partial_bell_coefficients(k, r):
+    # the blocks of D1^k are powers of D1, and the partitions of k positions
+    # into r blocks with m_j blocks of size j are the coefficient of
+    # prod x_j^m_j in the partial Bell polynomial B_{k,r} (Comtet, Advanced
+    # Combinatorics, 3.3)
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{k - r + 2}")
+    bell = sympy.Poly(sympy.bell(k, r, xs), *xs)
+    counts = {}
+    for blocks, ways in dclass._block_counts((0,) * k, r).items():
+        sizes = Counter(map(len, blocks))
+        counts[tuple(sizes[j] for j in range(1, k - r + 2))] = ways
+    assert counts == {m: int(c) for m, c in bell.terms()}
+
+
+def test_repeated_letter_defect_counts_every_partition():
+    # S(12, 5) partitions into 13 multisets, one defect term each
+    assert sum(dclass._block_counts((0,) * 12, 5).values()) == 1_379_400
+    verdict = is_in_dn(Operator.word((0,) * 12), 4)
+    assert not verdict.in_dn and len(verdict.defect.num.terms) == 13
+
+
+@pytest.mark.parametrize("k, n", [(4, 1), (8, 3)])
+def test_defects_place_their_jets_in_index_order(k, n):
+    # blocks of different lengths: the short jets, which every product reads,
+    # take the low packed fields, in index order
+    op = Operator.word(range(k))
+    ctx = JetContext(1, k, k)
+    assert not dn_defect(ctx, op, n, ctx.gen(0)).is_zero()
+    assert ctx._slots == sorted(ctx._slots)
+    ctx = JetContext(n + 1, k, k)
+    assert not dclass._polarization(ctx, op, n).is_zero()
+    assert ctx._slots == sorted(ctx._slots)
+
+
+def test_mean_key_width_of_large_refuted_defects():
+    # a packed key is as wide as its highest field; these bounds pin the
+    # index-order placement (jets reached in recursion order gave 4,217 and
+    # 9,396 bits)
+    def mean_bits(p):
+        return sum(m.bit_length() for m in p.terms) / len(p.terms)
+
+    assert mean_bits(is_in_dn(Operator.word(range(9)), 4).defect.num) <= 1721
+    assert mean_bits(polarization_defect(Operator.word(range(8)), 3).num) <= 5436

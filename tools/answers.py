@@ -27,6 +27,9 @@ per part, so two checkouts give the same answers when every line matches:
     fractions      the rendered apply_operator and dn_defect at levels 1-3 of
                    the operators of default_test_set(seed=0) at each of
                    FRACTION_ELEMENTS
+    repeated       the text reports of `dn check` and `dn polarize` on
+                   REPEATED_ARGV: words with repeated letters, whose
+                   partitions into blocks share their block multisets
 """
 
 import hashlib
@@ -89,6 +92,21 @@ MEMBERSHIP_ARGV = [
     ]
     for n in levels
     for command in (["dn", "check"], ["dn", "polarize"])
+]
+
+# Words with repeated letters: D1^k for k = 4-9 at levels 2 to k-1, (D1.D2)^k for
+# k = 2-4 at levels 2 to 2k-1 and D1.D1.D2.D1.D1.D2 at levels 1-5, checked at
+# each level and polarized at the levels up to 4; --max-n 8 admits level 8.
+REPEATED_ARGV = [
+    [*command, "--n", str(n), "--op", Operator.word(w).render(), "--max-n", "8"]
+    for w, levels in [
+        *(((0,) * k, range(2, k)) for k in range(4, 10)),
+        *(((0, 1) * k, range(2, 2 * k)) for k in range(2, 5)),
+        ((0, 0, 1, 0, 0, 1), range(1, 6)),
+    ]
+    for command, top in ((["dn", "check"], 8), (["dn", "polarize"], 4))
+    for n in levels
+    if n <= top
 ]
 
 # Fractions over repeated, coprime-product and two-generator denominators, each
@@ -180,6 +198,7 @@ def main() -> None:
             for text in (report.to_text(), report.to_json())
         ),
         "fractions": sha256(fraction_answers()),
+        "repeated": sha256(cli.run(argv).to_text() for argv in REPEATED_ARGV),
     }
     for name, digest in parts.items():
         print(f"{name:<14} {digest}")
