@@ -17,11 +17,12 @@ the falling factorials (i)_r is the (n+1)-th finite difference of a degree-r
 polynomial at 0: (n+1)! for r = n+1 and 0 for every other r >= 1.  Only the
 partitions into exactly n+1 blocks survive, so a word shorter than n+1
 contributes nothing, and a word of length n+1 one product.  Partitions with
-equal multisets of block subwords give equal products, so Pi_r(w) is counted
-by block multiset (_block_counts).  The multilinear
-(polarized) form keeps the surjections of w's positions onto the n+1
-generators, by inclusion-exclusion over the generators that receive no
-letter.  An identity term c (the empty word) contributes (-1)^n c f^(n+1).
+equal multisets of block subwords give equal products, so op's (n+1)-block
+part is counted by block multiset and summed over op's words (_blocks), and
+a multiset whose sum is zero forms nothing.  The multilinear (polarized)
+form keeps the surjections of w's positions onto the n+1 generators, by
+inclusion-exclusion over the generators that receive no letter.  An
+identity term c (the empty word) contributes (-1)^n c f^(n+1).
 
 Order matters for the class hierarchy: the classes grow with n, and the
 (n+1)-fold iterate of a single derivation letter separates level n+1 from
@@ -99,32 +100,30 @@ def level_combination(n: int, a: RatFunc, values: Iterable[RatFunc]) -> RatFunc:
     return total + RatFunc.from_poly(MPoly.from_packed(a.reg, terms))
 
 
-def _block_counts(word: Word, blocks: int) -> dict[tuple[Word, ...], int]:
-    """The set partitions of word's positions into `blocks` blocks, counted
-    by multiset: each sorted tuple of block subwords maps to its number of
-    partitions.  Reads word left to right; each letter opens a block or joins
-    an open one, and equal states (the sorted open blocks) merge."""
-    states: dict[tuple[Word, ...], int] = {(): 1} if blocks <= len(word) else {}
-    for left, letter in zip(range(len(word), 0, -1), word):  # left: positions from here on
-        step: dict[tuple[Word, ...], int] = {}
-        for state, ways in states.items():
-            grown = [state + ((letter,),)] if len(state) < blocks else []
-            if left > blocks - len(state):  # enough positions left to open the rest
-                grown += [state[:j] + (u + (letter,),) + state[j + 1 :]
-                          for j, u in enumerate(state)]
-            for new in map(tuple, map(sorted, grown)):
-                step[new] = step.get(new, 0) + ways
-        states = step
-    return states
-
-
-def _blocks(op: Operator, n: int) -> tuple[dict[Word, dict], list[Word]]:
-    """_block_counts of op's words into n+1 blocks, and their blocks in jet
-    index order.  A block's suffix is a block or empty: a subword u of w
-    with |u| <= |w| - n is a block of some partition (the rest make n)."""
-    counts = {w: _block_counts(w, n + 1) for w in op.terms}
-    dealt = {u for multisets in counts.values() for blocks in multisets for u in blocks}
-    return counts, sorted(dealt, key=lambda u: (len(u), u))
+def _blocks(op: Operator, n: int) -> tuple[dict[tuple[Word, ...], Coeff], list[Word]]:
+    """op's (n+1)-block part, sum_w c_w Pi_{n+1}(w) counted by block multiset
+    with no zero sums, and its blocks with all their suffixes, in jet index
+    order.  Each word is read left to right from one state carrying c_w;
+    each letter opens a block or joins an open one, and equal states (the
+    sorted open blocks) merge."""
+    part: dict[tuple[Word, ...], Coeff] = {}
+    for word, c in op.terms.items():
+        states: dict[tuple[Word, ...], Coeff] = {(): c} if n < len(word) else {}
+        for left, letter in zip(range(len(word), 0, -1), word):  # left: positions from here on
+            step: dict[tuple[Word, ...], Coeff] = {}
+            for state, ways in states.items():
+                grown = [state + ((letter,),)] if len(state) <= n else []
+                if left + len(state) > n + 1:  # enough positions left to open the rest
+                    grown += [state[:j] + (u + (letter,),) + state[j + 1 :]
+                              for j, u in enumerate(state)]
+                for new in map(tuple, map(sorted, grown)):
+                    step[new] = step.get(new, 0) + ways
+            states = step
+        for multiset, ways in states.items():
+            part[multiset] = part.get(multiset, 0) + ways
+    part = {multiset: c for multiset, c in part.items() if c}
+    dealt = {u[i:] for multiset in part for u in multiset for i in range(len(u))}
+    return part, sorted(dealt, key=lambda u: (len(u), u))
 
 
 def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
@@ -135,43 +134,41 @@ def dn_defect(ctx: JetContext, op: Operator, n: int, f: RatFunc) -> RatFunc:
     (n+1)! sum_w c_w sum_{pi in Pi_{n+1}(w)} prod_{B in pi} (w|_B)(f)
     + (-1)^n c_() f^(n+1): the finite difference of the falling factorials
     (i)_r in the unshuffle expansion of w(f^i) cancels every partition into
-    fewer or more than n+1 blocks (module docstring).  Each block multiset
-    gives one product, times its count, and each block's image is built
-    once, from its suffix's, in jet index order (_blocks).  With f over
-    d, a block's image u(f) lies over d r^|u| (jets.derive), so every
-    partition product of a word of length k lies over d^(n+1) r^k, and
-    f^(n+1) over d^(n+1) is the case k = 0.  So one loop adds each
-    product's numerator into one packed dict per word length
-    (add_product), takes that length's denominator from its first
-    multiset, and reduces each length's sum once (RatFunc.make).  A
-    polynomial has d = r = 1.  Linear in op.  f must live in ctx, and each
-    of op's words, in Operator.words() order, must pass ctx.check_word, the
-    check behind ctx.jet, also when no word has a partition into n+1
-    blocks.
+    fewer or more than n+1 blocks (module docstring).  Each multiset of
+    op's (n+1)-block part gives one product, times its coefficient, and
+    each block's image is built once, from its suffix's, in jet index order
+    (_blocks).  With f over d, a block's image u(f) lies over d r^|u|
+    (jets.derive), so a product of blocks of total length k lies over
+    d^(n+1) r^k, and f^(n+1) over d^(n+1) is the case k = 0.  So one loop
+    adds each numerator into one packed dict per total length
+    (add_product), takes its denominator from the length's first multiset,
+    and reduces each length's sum once (RatFunc.make).  A polynomial has
+    d = r = 1.  Linear in op.  f must live in ctx, and each of op's words,
+    in Operator.words() order, must pass ctx.check_word, the check behind
+    ctx.jet, also when the block part is zero.
     """
     _check_level(n)
     if f.reg is not ctx:
         raise ContextMismatchError("the element does not live in this context")
     for w in op.words():
         ctx.check_word(w)
-    counts, dealt = _blocks(op, n)
+    part, dealt = _blocks(op, n)
     image = {(): f}
     for u in dealt:  # u's first letter applied to the image of its suffix
         image[u] = apply_operator(ctx, Operator.word(u[:1]), image[u[1:]])
     scale = math.factorial(n + 1)
-    sign = (-1) ** n
     one = MPoly.const(ctx, 1)
-    sums: dict[int, tuple[MPoly, dict[int, Coeff]]] = {}  # word length -> (den, numerators)
-    for w, c in op.terms.items():
-        if not w:  # the identity has no partition; it contributes f^(n+1)
-            add_scaled(sums.setdefault(0, (f.den ** (n + 1), {}))[1], f.num ** (n + 1), c * sign)
-        for blocks, ways in counts[w].items():
-            if len(w) not in sums:  # every product of this length shares its denominator
-                dens = [image[u].den for u in blocks]
-                sums[len(w)] = math.prod([d for d in dens if not d.is_one()], start=one), {}
-            factors = [image[u].num for u in blocks]
-            add_product(sums[len(w)][1], math.prod(factors[1:-1], start=factors[0]), factors[-1],
-                        c * scale * ways)
+    sums: dict[int, tuple[MPoly, dict[int, Coeff]]] = {}  # total length -> (den, numerators)
+    if () in op.terms:  # the identity has no partition; it contributes f^(n+1)
+        sums[0] = f.den ** (n + 1), {}
+        add_scaled(sums[0][1], f.num ** (n + 1), op.terms[()] * (-1) ** n)
+    for blocks, c in part.items():
+        k = sum(map(len, blocks))
+        if k not in sums:  # every product of this length shares its denominator
+            dens = [image[u].den for u in blocks]
+            sums[k] = math.prod([d for d in dens if not d.is_one()], start=one), {}
+        factors = [image[u].num for u in blocks]
+        add_product(sums[k][1], math.prod(factors[1:-1], start=factors[0]), factors[-1], c * scale)
     parts = (RatFunc.make(MPoly.from_packed(ctx, terms), den) for den, terms in sums.values())
     return sum(parts, start=RatFunc.zero(ctx))
 
@@ -181,14 +178,16 @@ def is_in_dn(op: Operator, n: int) -> MembershipVerdict:
 
     The generic point is universal for word-algebra operators: the defect is
     a polynomial in free jet symbols, so it vanishes identically iff the
-    identity holds for all complex numbers and all derivations.  A holds
-    verdict keeps only the jets of the defect's blocks (dn_defect).  Before
-    a nonzero defect's witness is built, the jet of every subword of op's
-    words is placed, in one pass (JetContext.place_subwords), as the
-    Leibniz action on F(f^(n+1)) reaches them all, so the witness assigns
-    every jet that any term of that expansion reads.  A jet's index depends
-    only on its generator and word, so placing after the defect changes no
-    symbol.  dn_defect checks the level.
+    identity holds for all complex numbers and all derivations.  Distinct
+    block multisets are distinct jet monomials, so op holds exactly when it
+    has no identity term and a zero (n+1)-block part (_blocks), and a holds
+    verdict allocates no jet.  Before a nonzero defect's witness is built,
+    the jet of every subword of op's words is placed, in one pass
+    (JetContext.place_subwords), as the Leibniz action on F(f^(n+1)) reaches
+    them all, so the witness assigns every jet that any term of that
+    expansion reads.  A jet's index depends only on its generator and word,
+    so placing after the defect changes no symbol.  dn_defect checks the
+    level.
     """
     ctx = JetContext(1, op.alphabet_span(), op.max_word_len())
     defect = dn_defect(ctx, op, n, ctx.gen(0))
@@ -209,9 +208,10 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
     image is every generator (inclusion-exclusion).  A surjection is a
     partition into n+1 blocks with the blocks dealt to the generators in
     some order, and each factor is one jet symbol, so every term is a
-    squarefree monomial in the jets; each block multiset is dealt in every
-    order, times its count.  As in is_in_dn, the jet of every
-    subword is placed at every generator only when the defect is nonzero.
+    squarefree monomial in the jets; each multiset of op's (n+1)-block part
+    is dealt in every order, times its coefficient (_blocks), so a holds
+    verdict allocates only the generators, and, as in is_in_dn, the jet of
+    every subword is placed at every generator only for a nonzero defect.
     """
     _check_level(n)
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
@@ -223,19 +223,18 @@ def polarization_defect(op: Operator, n: int) -> RatFunc:
 
 def _polarization(ctx: JetContext, op: Operator, n: int) -> RatFunc:
     """polarization_defect in ctx, a context of n+1 generators; it places
-    only the jets of the blocks it deals, in index order (_blocks)."""
+    only the jets of the blocks that _blocks lists, in that order."""
     gens = range(n + 1)
-    counts, dealt = _blocks(op, n)
+    part, dealt = _blocks(op, n)
     units = {u: [ctx.unit(ctx.jet(g, u)) for g in gens] for u in dealt}  # u's packed jets
     terms: dict[int, Coeff] = {}
     if () in op.terms:
         terms[sum(map(ctx.unit, ctx.gens))] = op.terms[()] * (-1) ** n
-    for w, c in op.terms.items():
-        for blocks, ways in counts[w].items():
-            rows = [units[u] for u in blocks]
-            for order in permutations(gens):
-                m = sum(row[g] for g, row in zip(order, rows))
-                terms[m] = terms.get(m, 0) + c * ways
+    for blocks, c in part.items():
+        rows = [units[u] for u in blocks]
+        for order in permutations(gens):
+            m = sum(row[g] for g, row in zip(order, rows))
+            terms[m] = terms.get(m, 0) + c
     return RatFunc.from_poly(MPoly.from_packed(ctx, terms))
 
 

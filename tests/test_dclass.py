@@ -521,6 +521,21 @@ def test_holds_verdict_allocates_only_what_it_reached():
     assert polarization_defect(Operator.word(range(5)), 5).reg.num_vars == 6
     # a refuted check places the jet of every subword: 2^7 - 1 jets and x1
     assert is_in_dn(Operator.word(range(7)), 6).defect.reg.num_vars == 128
+    # a Lie element's block part cancels across its words, so its defects
+    # place no jet: [D1,D2] is in D_1, and [[[D1,D2],D3],D4] in D_1 and D_2
+    d1, d2, d3, d4 = (Operator.word((i,)) for i in range(4))
+    for op, levels in [(_bracket(d1, d2), (1,)),
+                       (_bracket(_bracket(_bracket(d1, d2), d3), d4), (1, 2))]:
+        for n in levels:
+            assert is_in_dn(op, n).defect.reg.num_vars == 1, (op.render(), n)
+            assert polarization_defect(op, n).reg.num_vars == n + 1, (op.render(), n)
+
+
+def _bracket(a, b):
+    """The commutator a.b - b.a of two operators, word by word."""
+    pairs = [(u, v, c * d) for u, c in a.terms.items() for v, d in b.terms.items()]
+    return Operator.from_terms([(u + v, c) for u, v, c in pairs]
+                               + [(v + u, -c) for u, v, c in pairs])
 
 
 def test_find_witness_matches_the_chain():
@@ -598,7 +613,13 @@ def assert_eulerian_membership(op):
     order = eulerian_order(op.terms)
     for n in range(1, op.max_word_len() + 2):
         expected = order is not None and order <= n
-        assert is_in_dn(op, n).in_dn == expected, (op.render(), n, order)
+        verdict = is_in_dn(op, n)
+        assert verdict.in_dn == expected, (op.render(), n, order)
+        # the rule dn_defect rests on: a member has no identity term and a
+        # zero (n+1)-block part, and its defect places no jet
+        nonzero = bool(dclass._blocks(op, n)[0]) or () in op.terms
+        assert nonzero == (not expected), (op.render(), n)
+        assert not expected or verdict.defect.reg.num_vars == 1, (op.render(), n)
     return order
 
 
@@ -606,13 +627,22 @@ def assert_eulerian_membership(op):
 def operators_on_3_letters(draw):
     """Up to two terms over D1-D3 with words of length 1 to 4, and in some
     examples the commutator of two words of length 1 or 2, whose longest
-    words cancel once the letters commute."""
+    words cancel once the letters commute, or a signed sum of 2 to 4
+    distinct orderings of one multiset of 3 or 4 letters, whose words share
+    block multisets."""
+    coeff = st.integers(-3, 3).filter(bool)
     word = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
-    terms = draw(st.lists(st.tuples(word, st.integers(-3, 3).filter(bool)), max_size=2))
+    terms = draw(st.lists(st.tuples(word, coeff), max_size=2))
     if draw(st.booleans()):
         short = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
         a, b = draw(short), draw(short)
         terms += [(a + b, 1), (b + a, -1)]
+    if draw(st.booleans()):
+        letters = draw(st.lists(st.integers(0, 2), min_size=3, max_size=4)
+                       .filter(lambda letters: len(set(letters)) > 1))
+        orderings = st.permutations(letters).map(tuple)
+        terms += draw(st.lists(st.tuples(orderings, coeff), min_size=2, max_size=4,
+                               unique_by=lambda term: term[0]))
     return Operator.from_terms(terms)
 
 
@@ -642,7 +672,7 @@ def test_block_counts_match_the_enumerated_partitions(word):
     )
     for r in range(1, len(word) + 2):
         expected = {blocks: ways for blocks, ways in enumerated.items() if len(blocks) == r}
-        assert dclass._block_counts(word, r) == expected, (word, r)
+        assert dclass._blocks(Operator.word(word), r - 1)[0] == expected, (word, r)
 
 
 @pytest.mark.parametrize("k, r", [(12, 5), (14, 6)])
@@ -655,7 +685,7 @@ def test_repeated_letter_counts_are_partial_bell_coefficients(k, r):
     xs = sympy.symbols(f"x1:{k - r + 2}")
     bell = sympy.Poly(sympy.bell(k, r, xs), *xs)
     counts = {}
-    for blocks, ways in dclass._block_counts((0,) * k, r).items():
+    for blocks, ways in dclass._blocks(Operator.word((0,) * k), r - 1)[0].items():
         sizes = Counter(map(len, blocks))
         counts[tuple(sizes[j] for j in range(1, k - r + 2))] = ways
     assert counts == {m: int(c) for m, c in bell.terms()}
@@ -663,7 +693,7 @@ def test_repeated_letter_counts_are_partial_bell_coefficients(k, r):
 
 def test_repeated_letter_defect_counts_every_partition():
     # S(12, 5) partitions into 13 multisets, one defect term each
-    assert sum(dclass._block_counts((0,) * 12, 5).values()) == 1_379_400
+    assert sum(dclass._blocks(Operator.word((0,) * 12), 4)[0].values()) == 1_379_400
     verdict = is_in_dn(Operator.word((0,) * 12), 4)
     assert not verdict.in_dn and len(verdict.defect.num.terms) == 13
 

@@ -30,10 +30,14 @@ per part, so two checkouts give the same answers when every line matches:
     repeated       the text reports of `dn check` and `dn polarize` on
                    REPEATED_ARGV: words with repeated letters, whose
                    partitions into blocks share their block multisets
+    brackets       the text and JSON reports of `dn check` and `dn polarize`
+                   at levels 1-4 on BRACKET_OPS: sums of words that share
+                   block multisets, with coefficients that cancel
 """
 
 import hashlib
 import json
+import random
 import sys
 from itertools import islice, permutations
 from pathlib import Path
@@ -107,6 +111,56 @@ REPEATED_ARGV = [
     for command, top in ((["dn", "check"], 8), (["dn", "polarize"], 4))
     for n in levels
     if n <= top
+]
+
+
+def bracket(a: Operator, b: Operator) -> Operator:
+    pairs = [(u, v, c * d) for u, c in a.terms.items() for v, d in b.terms.items()]
+    return Operator.from_terms([(u + v, c) for u, v, c in pairs]
+                               + [(v + u, -c) for u, v, c in pairs])
+
+
+def compose(a: Operator, b: Operator) -> Operator:
+    return Operator.from_terms(
+        (u + v, c * d) for u, c in a.terms.items() for v, d in b.terms.items()
+    )
+
+
+def same_content(seed: int) -> Operator:
+    """A seeded signed sum of up to 5 distinct orderings of one multiset of 3
+    to 5 of the letters D1-D3, with at least two letters distinct."""
+    rng = random.Random(seed)
+    letters = [0, 1] + [rng.randrange(3) for _ in range(rng.randint(1, 3))]
+    orderings = sorted(set(permutations(letters)))
+    return Operator.from_terms(
+        (w, rng.choice([-2, -1, 1, 2])) for w in rng.sample(orderings, min(len(orderings), 5))
+    )
+
+
+# Lie elements and their products, whose block parts cancel across words:
+# the brackets and nested brackets over D1-D4, [D1,D2] composed with D3 and
+# with [D3,D4], the symmetrization of D1.D2.D3, and seeded same-content sums.
+D1, D2, D3, D4 = (Operator.word((i,)) for i in range(4))
+BRACKET_OPS = [
+    *(bracket(a, b) for a, b in [(D1, D2), (D1, D3), (D2, D3), (D2, D4), (D3, D4)]),
+    bracket(bracket(D1, D2), D3),
+    bracket(D1, bracket(D2, D3)),
+    bracket(bracket(D1, D2), D1),
+    bracket(D2, bracket(D2, D1)),
+    bracket(bracket(bracket(D1, D2), D3), D4),
+    bracket(D1, bracket(D2, bracket(D3, D4))),
+    bracket(bracket(D1, D2), bracket(D3, D4)),
+    bracket(bracket(bracket(D1, D2), D1), D2),
+    compose(bracket(D1, D2), D3),
+    compose(bracket(D1, D2), bracket(D3, D4)),
+    Operator.from_terms((w, 1) for w in permutations(range(3))),
+    *(same_content(seed) for seed in range(12)),
+]
+BRACKET_ARGV = [
+    [*command, "--n", str(n), "--op", op.render(), "--max-n", "8"]
+    for op in BRACKET_OPS
+    for n in range(1, 5)
+    for command in (["dn", "check"], ["dn", "polarize"])
 ]
 
 # Fractions over repeated, coprime-product and two-generator denominators, each
@@ -199,6 +253,10 @@ def main() -> None:
         ),
         "fractions": sha256(fraction_answers()),
         "repeated": sha256(cli.run(argv).to_text() for argv in REPEATED_ARGV),
+        "brackets": sha256(
+            text for report in map(cli.run, BRACKET_ARGV)
+            for text in (report.to_text(), report.to_json())
+        ),
     }
     for name, digest in parts.items():
         print(f"{name:<14} {digest}")
