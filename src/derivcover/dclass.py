@@ -18,11 +18,11 @@ polynomial at 0: (n+1)! for r = n+1 and 0 for every other r >= 1.  Only the
 partitions into exactly n+1 blocks survive, so a word shorter than n+1
 contributes nothing, and a word of length n+1 one product.  Partitions with
 equal multisets of block subwords give equal products, so op's (n+1)-block
-part is counted by block multiset and summed over op's words (_blocks), and
-a multiset whose sum is zero forms nothing.  The multilinear (polarized)
-form keeps the surjections of w's positions onto the n+1 generators, by
-inclusion-exclusion over the generators that receive no letter.  An
-identity term c (the empty word) contributes (-1)^n c f^(n+1).
+part is counted by block multiset, its words read together, so words cancel
+where they meet (_blocks), and a multiset whose sum is zero forms nothing.
+The multilinear (polarized) form keeps the surjections of w's positions onto
+the n+1 generators, by inclusion-exclusion over the generators that receive
+no letter.  An identity term c (the empty word) contributes (-1)^n c f^(n+1).
 
 Order matters for the class hierarchy: the classes grow with n, and the
 (n+1)-fold iterate of a single derivation letter separates level n+1 from
@@ -103,25 +103,24 @@ def level_combination(n: int, a: RatFunc, values: Iterable[RatFunc]) -> RatFunc:
 def _blocks(op: Operator, n: int) -> tuple[dict[tuple[Word, ...], Coeff], list[Word]]:
     """op's (n+1)-block part, sum_w c_w Pi_{n+1}(w) counted by block multiset
     with no zero sums, and its blocks with all their suffixes, in jet index
-    order.  Each word is read left to right from one state carrying c_w;
-    each letter opens a block or joins an open one, and equal states (the
-    sorted open blocks) merge."""
-    part: dict[tuple[Word, ...], Coeff] = {}
-    for word, c in op.terms.items():
-        states: dict[tuple[Word, ...], Coeff] = {(): c} if n < len(word) else {}
-        for left, letter in zip(range(len(word), 0, -1), word):  # left: positions from here on
-            step: dict[tuple[Word, ...], Coeff] = {}
-            for state, ways in states.items():
-                grown = [state + ((letter,),)] if len(state) <= n else []
-                if left + len(state) > n + 1:  # enough positions left to open the rest
-                    grown += [state[:j] + (u + (letter,),) + state[j + 1 :]
+    order.  The words are read together, right-aligned: a letter opens a block
+    or joins an open one, and equal states merge, so words cancel where they meet."""
+    states: dict[Word, dict[tuple[Word, ...], Coeff]] = {}  # unread suffix -> open blocks -> sum
+    for left in range(op.max_word_len() + 1, 0, -1):  # left: letters of each suffix in states
+        step = {w: {(): c} for w, c in op.terms.items() if len(w) == left - 1 > n}  # words enter
+        for word, opened in states.items():
+            letter, into = word[:1], step.setdefault(word[1:], {})
+            for state, ways in opened.items():
+                grown = [state + (letter,)] if len(state) <= n else []
+                if left + len(state) > n + 1:  # enough letters left to open the rest
+                    grown += [state[:j] + (u + letter,) + state[j + 1 :]
                               for j, u in enumerate(state)]
                 for new in map(tuple, map(sorted, grown)):
-                    step[new] = step.get(new, 0) + ways
-            states = step
-        for multiset, ways in states.items():
-            part[multiset] = part.get(multiset, 0) + ways
-    part = {multiset: c for multiset, c in part.items() if c}
+                    into[new] = into.get(new, 0) + ways
+                    if not into[new]:  # words cancel where they meet
+                        del into[new]
+        states = step
+    part = states.get((), {})
     dealt = {u[i:] for multiset in part for u in multiset for i in range(len(u))}
     return part, sorted(dealt, key=lambda u: (len(u), u))
 

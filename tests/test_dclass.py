@@ -523,9 +523,11 @@ def test_holds_verdict_allocates_only_what_it_reached():
     assert is_in_dn(Operator.word(range(7)), 6).defect.reg.num_vars == 128
     # a Lie element's block part cancels across its words, so its defects
     # place no jet: [D1,D2] is in D_1, and [[[D1,D2],D3],D4] in D_1 and D_2
+    # and the product of 5 brackets [D1,D2]...[D9,D10] is in D_5
     d1, d2, d3, d4 = (Operator.word((i,)) for i in range(4))
     for op, levels in [(_bracket(d1, d2), (1,)),
-                       (_bracket(_bracket(_bracket(d1, d2), d3), d4), (1, 2))]:
+                       (_bracket(_bracket(_bracket(d1, d2), d3), d4), (1, 2)),
+                       (_bracket_product(5), (5,))]:
         for n in levels:
             assert is_in_dn(op, n).defect.reg.num_vars == 1, (op.render(), n)
             assert polarization_defect(op, n).reg.num_vars == n + 1, (op.render(), n)
@@ -536,6 +538,35 @@ def _bracket(a, b):
     pairs = [(u, v, c * d) for u, c in a.terms.items() for v, d in b.terms.items()]
     return Operator.from_terms([(u + v, c) for u, v, c in pairs]
                                + [(v + u, -c) for u, v, c in pairs])
+
+
+def _bracket_product(k):
+    """[D1,D2].[D3,D4]...[D_{2k-1},D_{2k}], the composition of k disjoint
+    brackets: 2^k words of length 2k that share one letter content."""
+    terms = {(): 1}
+    for i in range(0, 2 * k, 2):
+        bracket = _bracket(Operator.word((i,)), Operator.word((i + 1,)))
+        terms = {u + v: c * d for u, c in terms.items() for v, d in bracket.terms.items()}
+    return Operator.from_terms(terms.items())
+
+
+def test_words_cancel_where_they_meet(monkeypatch):
+    # one sorted call per state formed, and one for the blocks: the 16 words
+    # of [D1,D2]...[D7,D8] meet after each bracket and share their states (a
+    # counter run on each word alone makes 28,545 calls), and a single word
+    # forms as many states as it did alone (2,613 calls for D1...D8 at n=3)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(dclass, "sorted", counting, raising=False)
+    part, _ = dclass._blocks(_bracket_product(4), 4)
+    assert part == {} and len(calls) <= 1_000
+    calls.clear()
+    dclass._blocks(Operator.word(range(8)), 3)
+    assert len(calls) == 2_613
 
 
 def test_find_witness_matches_the_chain():
@@ -660,19 +691,47 @@ def test_eulerian_order_of_commutators_and_an_identity_term():
     assert orders == [1, 1, None]
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda m: st.lists(st.integers(0, m - 1), max_size=7)))
-def test_block_counts_match_the_enumerated_partitions(word):
-    # every set partition of the positions, grouped by its sorted block
-    # subwords; r = len(word) + 1 has none
-    word = tuple(word)
-    enumerated = Counter(
-        tuple(sorted(tuple(word[i] for i in block) for block in blocks))
-        for blocks in _set_partitions(len(word))
-    )
-    for r in range(1, len(word) + 2):
-        expected = {blocks: ways for blocks, ways in enumerated.items() if len(blocks) == r}
-        assert dclass._blocks(Operator.word(word), r - 1)[0] == expected, (word, r)
+@st.composite
+def sums_of_words(draw):
+    """(word, coefficient) pairs over 1 to 3 letters: a single word of length
+    0 to 7, or a signed sum of up to 4 words of length 1 to 6 that are free,
+    orderings of one letter multiset, a word and some of its suffixes, or a
+    commutator a.b - b.a, whose partitions into singletons cancel."""
+    m = draw(st.integers(1, 3))
+    letters = st.lists(st.integers(0, m - 1), min_size=1, max_size=6).map(tuple)
+    coeff = st.integers(-3, 3).filter(bool)
+    kind = draw(st.sampled_from(["word", "free", "orderings", "suffixes", "commutator"]))
+    if kind == "word":
+        return [(tuple(draw(st.lists(st.integers(0, m - 1), max_size=7))), 1)]
+    word = draw(letters)
+    if kind == "free":
+        words = [word] + draw(st.lists(letters, max_size=3))
+    elif kind == "orderings":
+        words = draw(st.lists(st.permutations(word).map(tuple), min_size=2, max_size=4))
+    elif kind == "suffixes":
+        words = [word] + [word[i:] for i in draw(st.lists(st.integers(1, 5), max_size=3))
+                          if i < len(word)]
+    else:
+        i = draw(st.integers(0, len(word)))
+        c = draw(coeff)
+        return [(word[i:] + word[:i], c), (word, -c)]
+    return [(w, draw(coeff)) for w in words]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sums_of_words())
+def test_block_counts_match_the_enumerated_partitions(terms):
+    # every set partition of each word's positions, grouped by its sorted
+    # block subwords and weighted by the word's coefficient; r = 8 has none
+    enumerated = Counter()
+    for word, c in terms:
+        for blocks in _set_partitions(len(word)):
+            enumerated[tuple(sorted(tuple(word[i] for i in block) for block in blocks))] += c
+    op = Operator.from_terms(terms)
+    for r in range(1, 9):
+        expected = {blocks: ways for blocks, ways in enumerated.items()
+                    if len(blocks) == r and ways}
+        assert dclass._blocks(op, r - 1)[0] == expected, (op.render(), r)
 
 
 @pytest.mark.parametrize("k, r", [(12, 5), (14, 6)])

@@ -33,12 +33,18 @@ per part, so two checkouts give the same answers when every line matches:
     brackets       the text and JSON reports of `dn check` and `dn polarize`
                    at levels 1-4 on BRACKET_OPS: sums of words that share
                    block multisets, with coefficients that cancel
+    lie            the text and JSON reports of `dn check` and `dn polarize`
+                   on LIE_ARGV: Lie elements, whose words share one letter
+                   content and cancel where their read prefixes meet, and
+                   seeded sums with words of several lengths that share
+                   suffixes
 """
 
 import hashlib
 import json
 import random
 import sys
+from functools import reduce
 from itertools import islice, permutations
 from pathlib import Path
 
@@ -163,6 +169,40 @@ BRACKET_ARGV = [
     for command in (["dn", "check"], ["dn", "polarize"])
 ]
 
+# Lie elements: the products of k disjoint brackets [D1,D2]...[D_{2k-1},D_{2k}]
+# for k = 2-5 at level k, where they hold, and for k <= 3 at level k-1; the
+# left- and right-nested commutators of 5-7 letters at levels 1-2; and, at
+# levels 1-4, seeded sums of orderings of one word with some of their suffixes.
+LETTERS = [Operator.word((i,)) for i in range(10)]
+
+
+def bracket_product(k: int) -> Operator:
+    return reduce(compose, (bracket(LETTERS[i], LETTERS[i + 1]) for i in range(0, 2 * k, 2)))
+
+
+def suffix_sum(seed: int) -> Operator:
+    """A seeded signed sum of up to 3 orderings of one word of 4 to 6 of the
+    letters D1-D3 and up to 3 of their proper suffixes."""
+    rng = random.Random(seed)
+    word = tuple(rng.randrange(3) for _ in range(rng.randint(4, 6)))
+    orderings = [tuple(rng.sample(word, len(word))) for _ in range(rng.randint(1, 3))]
+    tails = rng.choices(orderings, k=rng.randint(1, 3))
+    suffixes = [w[rng.randint(1, len(w) - 1):] for w in tails]
+    return Operator.from_terms((w, rng.choice([-2, -1, 1, 2])) for w in orderings + suffixes)
+
+
+LIE_ARGV = [
+    [*command, "--n", str(n), "--op", op.render()]
+    for op, levels in [
+        *((bracket_product(k), range(k - 1 if k <= 3 else k, k + 1)) for k in range(2, 6)),
+        *((reduce(bracket, LETTERS[:k]), (1, 2)) for k in range(5, 8)),
+        *((reduce(lambda a, b: bracket(b, a), LETTERS[k - 1::-1]), (1, 2)) for k in range(5, 8)),
+        *((suffix_sum(seed), range(1, 5)) for seed in range(8)),
+    ]
+    for n in levels
+    for command in (["dn", "check"], ["dn", "polarize"])
+]
+
 # Fractions over repeated, coprime-product and two-generator denominators, each
 # with the number of generators of its context.
 FRACTION_ELEMENTS = [
@@ -255,6 +295,10 @@ def main() -> None:
         "repeated": sha256(cli.run(argv).to_text() for argv in REPEATED_ARGV),
         "brackets": sha256(
             text for report in map(cli.run, BRACKET_ARGV)
+            for text in (report.to_text(), report.to_json())
+        ),
+        "lie": sha256(
+            text for report in map(cli.run, LIE_ARGV)
             for text in (report.to_text(), report.to_json())
         ),
     }
