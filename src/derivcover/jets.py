@@ -213,12 +213,11 @@ def derive(ctx: JetContext, letter: int, f: RatFunc) -> RatFunc:
     e − 1 times, g = prod p^(e−1) and r = prod p.  Modulo p the numerator
     is −N·e·D(p)·prod_{q != p} q, which is nonzero, so it shares no factor
     with den·r.  The result's denominator d·r has the same radical r, so
-    every word u of letters sends f over d to u(f) over d·r^|u|.
+    every word u of letters sends f over d to u(f) over d·r^|u|.  A
+    polynomial is the case den = 1: D(1) = 0, so g = r = 1.
     """
     if f.reg is not ctx:
         raise ContextMismatchError("rational function does not live in this context")
-    if f.den.is_one():
-        return RatFunc(_derive_poly(ctx, letter, f.num), f.den)
     dd = _derive_poly(ctx, letter, f.den)
     g = mpoly_gcd(f.den, dd)
     r = div_exact(f.den, g)

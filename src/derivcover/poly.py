@@ -42,7 +42,8 @@ Each binary operator of MPoly and RatFunc takes an operand of its own class
 only; a number enters arithmetic through const() or scale().
 
 Variables live in a VarRegistry, which gives each one an index, a name and
-an exponent field.
+an exponent field.  Operands from two registries raise ContextMismatchError,
+also when one of them is zero.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ class VarRegistry:
         self._by_name: dict[str, int] = {}
         self._slots: list[int] = []  # variable index of each field, bottom up
         self._shift: dict[int, int] = {}  # variable index -> bit offset of its field
-        self._guard = 1 << (_FIELD_BITS - 1)  # guard bits of every field
+
+    @property
+    def _guard(self) -> int:
+        """The top bit of every two-byte field: the total degree's and each variable's."""
+        return int.from_bytes(b"\x00\x80" * (len(self._slots) + 1), "little")
 
     @property
     def num_vars(self) -> int:
@@ -143,15 +148,11 @@ class VarRegistry:
     def _place(self, *indices: int) -> None:
         """Give each variable of indices the next exponent field, in order."""
         slots, shifts = self._slots, self._shift
-        try:
-            for idx in indices:
-                if idx in shifts:
-                    raise ValueError(f"variable index {idx} already allocated")
-                slots.append(idx)
-                shifts[idx] = len(slots) * _FIELD_BITS
-        finally:
-            # the top bit of every two-byte field: the total degree's and each variable's
-            self._guard = int.from_bytes(b"\x00\x80" * (len(slots) + 1), "little")
+        for idx in indices:
+            if idx in shifts:
+                raise ValueError(f"variable index {idx} already allocated")
+            slots.append(idx)
+            shifts[idx] = len(slots) * _FIELD_BITS
 
     def name(self, v: int) -> str:
         return self._names[v]
@@ -294,8 +295,6 @@ class MPoly:
         self._check(other)
         if not self.terms:
             return other
-        if not other.terms:
-            return self
         terms = dict(self.terms)
         get = terms.get
         for m, c in other.terms.items():
@@ -323,11 +322,8 @@ class MPoly:
         if k == 0:
             return MPoly.const(self.reg, 1)
         _field_guard(self.total_degree() * k, "power")
-        if not self.terms:
-            return self
-        if len(self.terms) == 1:
-            ((m, c),) = self.terms.items()
-            return MPoly(self.reg, {m * k: c**k})
+        if len(self.terms) < 2:  # zero or one term: no product loop, whatever k is
+            return MPoly(self.reg, {m * k: c**k for m, c in self.terms.items()})
         # repeated multiplication, which for sparse multivariate operands
         # usually beats repeated squaring (Fateman 1974)
         result = self
@@ -338,8 +334,6 @@ class MPoly:
     def scale(self, c) -> "MPoly":
         if type(c) is not int:
             c = canonical(c)
-        if c == 0:
-            return MPoly.zero(self.reg)
         if c == 1:
             return self
         return MPoly.from_packed(self.reg, {m: co * c for m, co in self.terms.items()})
@@ -427,10 +421,8 @@ def div_exact(f: MPoly, d: MPoly) -> MPoly:
     """
     if d.is_zero():
         raise DivisionByZeroError("division by the zero polynomial")
-    if f.is_zero():
-        return f
     f._check(d)
-    if d.is_one():
+    if f.is_zero() or d.is_one():
         return f
     guard = f.reg._guard
     q_deg = f.total_degree() - d.total_degree()
@@ -593,8 +585,6 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     pb = primitive_part(b)
     if pa == pb:
         return pa
-    if pa.is_constant() or pb.is_constant():
-        return MPoly.const(a.reg, 1)
     # split off the common monomial factor; the remaining parts have no
     # variable dividing every term, so gcd factors through
     reg = a.reg
@@ -612,9 +602,7 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     else:
         va, vb = set(pa.variables()), set(pb.variables())
         shared = va & vb
-        if not shared:
-            core = MPoly.const(reg, 1)
-        elif va != vb:
+        if va != vb:
             # a common factor lives in the shared variables, so it divides
             # every coefficient of pa and pb over their other variables
             parts = _coeffs_over(pa, shared) + _coeffs_over(pb, shared)
@@ -669,8 +657,6 @@ class RatFunc:
             raise ContextMismatchError("num and den belong to different registries")
         if den.is_zero():
             raise DivisionByZeroError("zero denominator")
-        if num.is_zero():
-            return cls(num, MPoly.const(num.reg, 1))
         if not den.is_one():
             g = mpoly_gcd(num, den)
             if not g.is_constant():
@@ -720,12 +706,11 @@ class RatFunc:
     def __add__(self, other: "RatFunc") -> "RatFunc":
         # denominators are reduced pairwise (gcd of the dens, then gcd with the
         # cross sum), so no full-size gcd is ever taken
+        self.num._check(other.num)
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.num + other.num, self.den)
         if self.is_zero():
             return other
-        if other.is_zero():
-            return self
         g0 = mpoly_gcd(self.den, other.den)
         if g0.is_constant():
             return RatFunc._normalized(
@@ -735,8 +720,6 @@ class RatFunc:
         da = div_exact(self.den, g0)
         db = div_exact(other.den, g0)
         t = self.num * db + other.num * da
-        if t.is_zero():
-            return RatFunc.zero(self.reg)
         g1 = mpoly_gcd(t, g0)
         if g1.is_constant():
             return RatFunc._normalized(t, self.den * db)
@@ -752,8 +735,6 @@ class RatFunc:
         # cross-cancellation keeps the result coprime without a final gcd
         if self.den.is_one() and other.den.is_one():
             return RatFunc(self.num * other.num, self.den)
-        if self.is_zero() or other.is_zero():
-            return RatFunc.zero(self.reg)
         na, da = self.num, self.den
         nb, db = other.num, other.den
         g1 = mpoly_gcd(na, db)
@@ -770,6 +751,7 @@ class RatFunc:
         if other.is_zero():
             raise DivisionByZeroError("division by the zero rational function")
         if self.den.is_one() and other.den.is_one():
+            # one make() for the inverse and the product: without it a parse takes 20% longer
             return RatFunc.make(self.num, other.num)
         return self * RatFunc._normalized(other.den, other.num)
 
@@ -818,8 +800,8 @@ def add_product(terms: dict[int, Coeff], p: MPoly, q: MPoly, c: Coeff) -> None:
     MPoly.__mul__ runs into an empty dict.  The shorter operand runs the outer
     loop.  The sums may be zero or integral Fractions; MPoly.from_packed
     makes them canonical."""
+    p._check(q)
     if p.terms and q.terms:
-        p._check(q)
         _field_guard(p.total_degree() + q.total_degree(), "product")
         a, b = p.terms, q.terms
         if len(a) > len(b):

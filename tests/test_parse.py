@@ -146,6 +146,10 @@ def test_coefficient_limit_on_parsed_functions(monkeypatch):
     # a power of 0, 1 or -1 stays 0, 1 or -1: no coefficient bits are charged
     for text, value in (("0^5000", "0"), ("1^5000", "1"), ("(0-1)^5001", "-1")):
         assert parse_ratfunc(text).render() == value
+    # and its work does not grow with the exponent
+    huge = "9" * 1999
+    for text, value in (("0^" + huge, "0"), ("1^" + huge, "1"), ("(0-1)^" + huge, "-1")):
+        assert parse_ratfunc(text).render() == value
     # a Fraction coefficient counts its 2-bit denominator
     with pytest.raises(DegreeGuardError) as err:
         parse_ratfunc("(1/2)^2049")

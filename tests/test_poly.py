@@ -115,19 +115,39 @@ def test_context_mismatch_detected():
         t + u
 
 
+def test_a_zero_from_another_registry_is_refused():
+    t, reg = t_var()
+    one = RatFunc.const(reg, 1)
+    zero_b = RatFunc.zero(VarRegistry())
+    for f in (t, (t + one) / (t - one), RatFunc.zero(reg), one):
+        for a, b in ((f, zero_b), (zero_b, f)):
+            # a zero divisor is refused as such before its registry is read
+            divide_error = DivisionByZeroError if b.is_zero() else ContextMismatchError
+            for op in ("__add__", "__sub__", "__mul__"):
+                for x, y in ((a, b), (a.num, b.num)):
+                    with pytest.raises(ContextMismatchError):
+                        getattr(x, op)(y)
+            with pytest.raises(divide_error):
+                a / b
+            with pytest.raises(divide_error):
+                div_exact(a.num, b.num)
+            with pytest.raises(ContextMismatchError):
+                mpoly_gcd(a.num, b.num)
+
+
 def test_evaluate_commutes_with_ring_ops():
-    # 25 function pairs, 20 points each: 500 evaluation points in total
+    # 25 random function pairs and 4 planted ones, 20 points each
     rng = random.Random(0)
     reg = VarRegistry()
     vars_ = tuple(reg.add_generator(n) for n in ("a", "b", "c"))
-    pairs = 0
-    while pairs < 25:
-        f = random_ratfunc(rng, reg, vars_)
-        g = random_ratfunc(rng, reg, vars_)
-        if g.is_zero():
-            continue
-        pairs += 1
-        sums, prods, diffs, quots = f + g, f * g, f - g, f / g
+    zero = RatFunc.zero(reg)
+
+    def check(f, g):
+        sums, prods, diffs = f + g, f * g, f - g
+        quots = None if g.is_zero() else f / g
+        for value in (sums, prods, diffs, quots):
+            if value is not None and value.is_zero():
+                assert value == zero  # 0/1
         points = 0
         while points < 20:
             point = {v: random_fraction(rng) for v in vars_}
@@ -141,6 +161,21 @@ def test_evaluate_commutes_with_ring_ops():
             except DenominatorVanishesError:
                 continue
             points += 1
+
+    pairs = 0
+    while pairs < 25:
+        f = random_ratfunc(rng, reg, vars_)
+        g = random_ratfunc(rng, reg, vars_)
+        if g.is_zero():
+            continue
+        pairs += 1
+        check(f, g)
+    # a zero on either side of a fraction, and two fractions over one
+    # denominator whose sum cancels
+    f = parse_ratfunc("(a*b + 1)/(2*a - c^2)", reg)
+    for g in (zero, -f):
+        check(f, g)
+        check(g, f)
 
 
 def test_mul_div_roundtrip_is_bit_exact():
@@ -257,6 +292,8 @@ def test_exponent_field_overflow_raises_on_every_path():
         big * big
     with pytest.raises(DegreeGuardError, match="power would reach total degree 40000"):
         big**2
+    # the zero polynomial has total degree 0, so no guard bounds its power's work
+    assert MPoly.zero(reg) ** 10**12 == MPoly.zero(reg)
     # the pseudo-remainder sequence in x multiplies by lc_x(b) = y^20000
     a = MPoly.from_terms(reg, [(((x, 2), (y, 20000)), 1), ((), 1)])
     b = MPoly.from_terms(reg, [(((x, 1), (y, 20000)), 1), ((), 2)])

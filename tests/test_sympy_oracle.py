@@ -75,6 +75,14 @@ def test_ring_operations_match_sympy():
     term = MPoly.from_terms(reg, [(((vars_[0], 2), (vars_[2], 1)), Fraction(-3, 2))])
     for k in range(1, 5):
         assert sympy.Poly(to_sympy(term**k), *gens) == sympy.Poly(to_sympy(term), *gens) ** k
+    # a zero operand: powers, scalings by zero and sums are the zero
+    # polynomial (no terms) or the other operand, term for term
+    zero = MPoly.zero(reg)
+    for k in range(1, 4):
+        assert zero**k == zero
+    for c in (0, Fraction(0)):
+        assert term.scale(c) == zero
+    assert term + zero == zero + term == term
 
 
 def test_exact_division_and_gcd_match_sympy():
@@ -92,6 +100,24 @@ def test_exact_division_and_gcd_match_sympy():
         theirs = sympy.gcd(to_sympy(ag), to_sympy(bg))
         unit = sympy.cancel(ours / theirs)
         assert unit.is_number and unit != 0
+    # a constant on either side, and parts in disjoint variables once the
+    # common monomial is split off: the gcd is primitive and is sympy's up to
+    # a unit
+    a, b, c = (MPoly.var(reg, v) for v in vars_)
+    one = MPoly.const(reg, 1)
+    cases = [
+        (MPoly.const(reg, 6), a * b + one, one),
+        (a * a.scale(Fraction(1, 2)), MPoly.const(reg, -4), one),
+        (a + one, b.scale(2) + c, one),
+        (a * a * (b + one), a.scale(3) * (c - one), a),
+        (a * b * (b + one), (a * b * c).scale(-2) + a * b, a * b),
+    ]
+    for x, y, gcd in cases:
+        for pair in ((x, y), (y, x)):
+            ours = mpoly_gcd(*pair)
+            assert ours == gcd
+            unit = sympy.cancel(to_sympy(ours) / sympy.gcd(*map(to_sympy, pair)))
+            assert unit.is_number and unit != 0
 
 
 def test_univariate_gcd_matches_sympy():
@@ -160,6 +186,12 @@ def test_ratfunc_canonical_form_matches_cancel():
         unit = sympy.cancel(to_sympy(f.den) / D)
         assert unit.is_number and unit != 0
         checked += 1
+    # a zero numerator over a constant and over a nonconstant denominator is 0/1
+    zero = MPoly.zero(reg)
+    for d in (MPoly.const(reg, -6), MPoly.var(reg, vars_[1]).scale(-2) + MPoly.const(reg, 4)):
+        f = RatFunc.make(zero, d)
+        assert (f.num, f.den) == (zero, MPoly.const(reg, 1))
+        assert sympy.fraction(sympy.cancel(0 / to_sympy(d))) == (0, 1)
 
 
 def shifted_name(letter: int, name: str) -> str:
@@ -200,6 +232,14 @@ def test_derive_matches_sympy_leibniz_rule():
         letter = rng.randrange(2)
         theirs = sympy_derive(letter, ratfunc_to_sympy(f))
         assert sympy.cancel(ratfunc_to_sympy(derive(ctx, letter, f)) - theirs) == 0
+    # a polynomial is the quotient rule's case den = 1: its image is the
+    # Leibniz image over 1
+    ctx = JetContext(2, 2, 2)
+    f = RatFunc.from_poly(random_nonzero_poly(rng, ctx, ctx.gens, max_terms=3, max_exp=2))
+    for letter in range(2):
+        ours = derive(ctx, letter, f)
+        assert ours.den.is_one()
+        assert sympy.expand(to_sympy(ours.num) - sympy_derive(letter, to_sympy(f.num))) == 0
 
 
 # Terms of the tuples below: polynomials in t, or partial fractions in t.

@@ -38,12 +38,17 @@ per part, so two checkouts give the same answers when every line matches:
                    content and cancel where their read prefixes meet, and
                    seeded sums with words of several lengths that share
                    suffixes
+    arith          the terms, with their coefficient types, of sums, products,
+                   powers, scalings, quotients and gcds of ARITH_POLYS and
+                   ARITH_FRACTIONS, of RatFunc.make with a zero numerator, and
+                   of derive on ARITH_JET_POLYS
 """
 
 import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 from functools import reduce
 from itertools import islice, permutations
 from pathlib import Path
@@ -55,8 +60,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from derivcover import cli  # noqa: E402
 from derivcover.dclass import TEST_SET_LETTERS, default_test_set, dn_defect  # noqa: E402
-from derivcover.jets import JetContext, Operator, apply_operator  # noqa: E402
+from derivcover.jets import JetContext, Operator, apply_operator, derive  # noqa: E402
 from derivcover.parse import parse_ratfunc  # noqa: E402
+from derivcover.poly import MPoly, RatFunc, VarRegistry, mpoly_gcd  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
@@ -213,6 +219,18 @@ FRACTION_ELEMENTS = [
     ("x2/((x1^2+1)^2*(x1-3))", 2),
 ]
 
+# Arithmetic on the cases that need no shortcut: a zero operand on either side,
+# a constant, parts in disjoint variables with and without a common monomial,
+# fractions over one denominator whose sum cancels, and polynomials under the
+# Leibniz action.
+ARITH_POLYS = ["0", "-6", "3/2", "x*y + 1", "x^2*(y + 1)", "3*x*(z - 1)", "x/2 - y", "z^2 + 2"]
+ARITH_FRACTIONS = [
+    "0", "5", "x*y + 1", "(x*y + 1)/(2*x - z^2)", "-(x*y + 1)/(2*x - z^2)",
+    "(x + 1)/(2*x - z^2)", "(x - y)/(x*y - 4)", "3/(x^2 + 1)",
+]
+ARITH_JET_POLYS = ["0", "7", "x1", "x1^2*x2 - 3", "x1*x2/2 + x2^3"]
+
+
 # Malformed argv, as the argparse tree once answered them: a head that names
 # no command, or a whole command, in either format, with one stray part.
 OTHER_HEADS = [["dn"], ["cover"], ["bogus"], ["dn", "bogus"], [], ["dn check"]]
@@ -265,6 +283,38 @@ def fraction_answers():
             yield from (dn_defect(ctx, op, n, f).render() for n in (1, 2, 3))
 
 
+def shown(f) -> str:
+    """The representation of a polynomial or a rational function: its terms,
+    each coefficient with its type."""
+    if isinstance(f, RatFunc):
+        return f"{shown(f.num)} / {shown(f.den)}"
+    return repr(f.sorted_terms())
+
+
+def arith_answers():
+    reg = VarRegistry()
+    for name in "xyz":
+        reg.add_generator(name)
+    polys = [parse_ratfunc(text, reg, allow_new_vars=False).num for text in ARITH_POLYS]
+    for p in polys:
+        yield from (shown(p**k) for k in range(4))
+        yield from (shown(p.scale(c)) for c in (0, Fraction(0), 1, Fraction(-3, 2)))
+        yield shown(RatFunc.make(MPoly.zero(reg), p)) if p else "zero denominator"
+        for q in polys:
+            yield from (shown(p + q), shown(p - q), shown(p * q), shown(mpoly_gcd(p, q)))
+    fracs = [parse_ratfunc(text, reg, allow_new_vars=False) for text in ARITH_FRACTIONS]
+    for f in fracs:
+        for g in fracs:
+            yield from (shown(f + g), shown(f - g), shown(f * g))
+            yield shown(f / g) if g.num else "zero divisor"
+    ctx = JetContext(2, 2, 2)
+    for text in ARITH_JET_POLYS:
+        f = parse_ratfunc(text, ctx, allow_new_vars=False)
+        for letter in range(2):
+            image = derive(ctx, letter, f)
+            yield from (shown(image), shown(derive(ctx, 1 - letter, image)))
+
+
 def main() -> None:
     suite = cli.run(["suite", "--max-n", "4"])
     parts = {
@@ -301,6 +351,7 @@ def main() -> None:
             text for report in map(cli.run, LIE_ARGV)
             for text in (report.to_text(), report.to_json())
         ),
+        "arith": sha256(arith_answers()),
     }
     for name, digest in parts.items():
         print(f"{name:<14} {digest}")
