@@ -242,13 +242,13 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
 
     With s = x1+...+x_{n+1}, the part of F(s^(n+1)) odd in every generator
     must be (n+1)! F(x1...x_{n+1}), and the same part of the right side of
-    the order-n identity (n+1)! times the multilinear combination.  Requires
-    op to satisfy the order-n identity.  By the grading lemma (module
-    docstring) a term x^beta F(x^gamma) of either side has graded degree
-    beta + gamma, and odd in each of the n+1 generators at total degree n+1
-    leaves beta + gamma = (1, ..., 1).  So the left part holds when each
-    image F(x_S) has graded degree 1 in each generator of S and 0 in the
-    rest, and the right part, with the multinomials (n+1-|S|)! |S|!, when
+    the order-n identity (n+1)! times the multilinear combination.  Both
+    hold for every word operator; the paper uses them on members.  By the
+    grading lemma (module docstring) a term x^beta F(x^gamma) of either side
+    has graded degree beta + gamma, and odd in each of the n+1 generators at
+    total degree n+1 leaves beta + gamma = (1, ..., 1).  So the left part
+    holds when each F(x_S) has graded degree 1 in each generator of S and 0
+    in the rest, and the right part, with the multinomials (n+1-|S|)! |S|!, when
     sum_{S nonempty} (-1)^(n+1-|S|) x^(S^c) F(x_S) is the closed form of
     polarization_defect.  So op is applied to the 2^(n+1) - 1 monomials
     x_S, each image term is tested for that grading, and the signed sum is
@@ -256,8 +256,7 @@ def odd_extraction_check(op: Operator, n: int) -> bool:
     fields, so the jet of every subword is placed first, at every generator
     (JetContext.place_subwords): every jet an image reaches is among them.
     """
-    if not is_in_dn(op, n).in_dn:
-        raise PreconditionError("parity extraction is only asserted for members of the class")
+    _check_level(n)
     ctx = JetContext(n + 1, op.alphabet_span(), op.max_word_len())
     ctx.place_subwords(op.terms)  # every jet an image reaches, for the masks below
     closed = _polarization(ctx, op, n).as_poly()

@@ -469,13 +469,12 @@ def _content_pp_in(coeffs: list[MPoly]) -> tuple[MPoly, list[MPoly]]:
 
 
 def _gcd_all(reg: VarRegistry, polys: Iterable[MPoly]) -> MPoly:
-    """gcd of the nonzero polys, folded in their order up to the first 1."""
+    """gcd of the polys, folded in their order up to the first 1."""
     g = MPoly.zero(reg)
     for p in polys:
-        if p.terms:
-            g = mpoly_gcd(g, p)
-            if g.is_one():
-                break
+        g = mpoly_gcd(g, p)
+        if g.is_one():
+            break
     return g
 
 
@@ -578,7 +577,7 @@ def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """
     a._check(b)
     if a.is_zero():
-        return primitive_part(b) if not b.is_zero() else b
+        return primitive_part(b)
     if b.is_zero():
         return primitive_part(a)
     pa = primitive_part(a)
@@ -659,9 +658,8 @@ class RatFunc:
             raise DivisionByZeroError("zero denominator")
         if not den.is_one():
             g = mpoly_gcd(num, den)
-            if not g.is_constant():
-                num = div_exact(num, g)
-                den = div_exact(den, g)
+            num = div_exact(num, g)
+            den = div_exact(den, g)
         return cls._normalized(num, den)
 
     @classmethod
@@ -721,8 +719,6 @@ class RatFunc:
         db = div_exact(other.den, g0)
         t = self.num * db + other.num * da
         g1 = mpoly_gcd(t, g0)
-        if g1.is_constant():
-            return RatFunc._normalized(t, self.den * db)
         return RatFunc._normalized(div_exact(t, g1), div_exact(self.den, g1) * db)
 
     def __neg__(self) -> "RatFunc":
@@ -738,13 +734,11 @@ class RatFunc:
         na, da = self.num, self.den
         nb, db = other.num, other.den
         g1 = mpoly_gcd(na, db)
-        if not g1.is_constant():
-            na = div_exact(na, g1)
-            db = div_exact(db, g1)
+        na = div_exact(na, g1)
+        db = div_exact(db, g1)
         g2 = mpoly_gcd(nb, da)
-        if not g2.is_constant():
-            nb = div_exact(nb, g2)
-            da = div_exact(da, g2)
+        nb = div_exact(nb, g2)
+        da = div_exact(da, g2)
         return RatFunc._normalized(na * nb, da * db)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":

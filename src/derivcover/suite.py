@@ -90,7 +90,7 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str, str]]:
             failures.append(f"separation failed at level {n}")
     record("strict-separation", failures, max_n, "operator", max_n + 1)
 
-    # 4: one-variable identity holds iff the multilinear identity holds
+    # 4: one-variable iff multilinear identity; the parity extraction holds on every pair
     failures = []
     ops = default_test_set(seed=seed)
     for op in ops:
@@ -100,7 +100,7 @@ def battery(max_n: int, seed: int) -> list[tuple[str, bool, str, str]]:
             note(pdef)
             if in_dn != pdef.is_zero():
                 failures.append(f"equivalence failed for {op.render()} at level {n}")
-            elif in_dn and not dclass.odd_extraction_check(op, n):
+            elif not dclass.odd_extraction_check(op, n):
                 failures.append(
                     f"parity extraction failed for {op.render()} at level {n}"
                 )

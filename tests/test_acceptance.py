@@ -100,8 +100,7 @@ def test_criterion_4_polarization_equivalence():
                 note(member.defect)
                 note(polar)
                 assert member.in_dn == polar.is_zero(), (op.render(), n)
-                if member.in_dn:
-                    assert odd_extraction_check(op, n), (op.render(), n)
+                assert odd_extraction_check(op, n), (op.render(), n)
 
 
 def test_criterion_5_inductive_subsum():

@@ -76,7 +76,7 @@ def test_suite_report_names_its_seed():
 
 
 def test_suite_decides_each_membership_once(monkeypatch):
-    from derivcover import suite
+    from derivcover import dclass, suite
 
     decided = []
 
@@ -85,8 +85,22 @@ def test_suite_decides_each_membership_once(monkeypatch):
         return is_in_dn(op, n)
 
     monkeypatch.setattr(suite, "is_in_dn", counting)
+    monkeypatch.setattr(dclass, "is_in_dn", counting)
     assert all(passed for _, passed, _, _ in suite.battery(4, 0))
     assert decided and len(decided) == len(set(decided))
+
+
+def test_a_fault_in_blocks_fails_the_parity_check(monkeypatch):
+    # is_in_dn and polarization_defect read the same _blocks, so only the
+    # Leibniz side of the parity extraction can see a fault there
+    from derivcover import dclass, suite
+
+    real = dclass._blocks
+    monkeypatch.setattr(dclass, "_blocks", lambda op, n: real(op, n - 1))
+    results = {name: (passed, detail) for name, passed, detail, _ in suite.battery(1, 0)}
+    passed, detail = results["polarization-equivalence"]
+    assert not passed
+    assert detail.startswith("parity extraction failed for "), detail
 
 
 def test_every_suite_check_runs_every_level(monkeypatch):

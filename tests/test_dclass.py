@@ -124,9 +124,17 @@ def test_odd_extraction_for_members():
     assert odd_extraction_check(Operator.word((0, 1)), 2)
 
 
-def test_odd_extraction_rejects_nonmembers():
-    with pytest.raises(PreconditionError):
-        odd_extraction_check(DD, 1)
+def test_odd_extraction_holds_for_nonmembers():
+    # the grading lemma and the inclusion-exclusion use no membership
+    nonmembers = [
+        (DD, 1),
+        (parse_operator("2*D2 + 1/2*D3.D1"), 1),
+        (Operator.from_terms([((), 3), ((0,), 1)]), 1),  # an identity term
+        (Operator.word((0, 1, 2)), 2),
+    ]
+    for op, n in nonmembers:
+        assert not is_in_dn(op, n).in_dn, (op.render(), n)
+        assert odd_extraction_check(op, n), (op.render(), n)
 
 
 def test_odd_extraction_compares_with_the_closed_form(monkeypatch):
@@ -351,6 +359,9 @@ def test_level_must_be_positive():
         inductive_subsum(0)
     with pytest.raises(ValueError):
         polarization_defect(D, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"level must be >= 1, got {n}$"):
+            odd_extraction_check(D, n)
 
 
 # Operators with an identity (empty word) term, which act as c*f on f.
