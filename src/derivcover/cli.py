@@ -31,7 +31,7 @@ from .jets import Operator
 from .parse import MAX_COEFF_BITS, MAX_DEGREE, MAX_DIGITS, parse_func_list, parse_operator
 
 GRAMMAR_HELP = f"""\
-operator grammar:   operator := term (('+'|'-') term)*
+operator grammar:   operator := ['-'] term (('+'|'-') term)*
                     term     := [rational '*'] word
                     word     := letter ('.' letter)*     e.g. D1.D2 (D2 applies first)
                     letter   := 'D' digits               letters numbered from 1

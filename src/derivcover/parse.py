@@ -1,7 +1,7 @@
 """Expression language for operators and rational functions.
 
 Operator grammar:
-    operator := term (('+'|'-') term)*
+    operator := ['-'] term (('+'|'-') term)*
     term     := [rational '*'] word
     word     := letter ('.' letter)*
     letter   := 'D' digits            (letters are numbered from 1)
@@ -152,12 +152,8 @@ def _rational(cur: _Cursor) -> Coeff:
         sign = -1
     num = int(cur.expect("int").text)
     if cur.peek().kind == "/":
-        save = cur.i
         cur.next()
-        if cur.peek().kind != "int":
-            cur.i = save
-            return sign * num
-        den_tok = cur.next()
+        den_tok = cur.expect("int")
         den = int(den_tok.text)
         if den == 0:
             raise ParseError("rational with zero denominator", den_tok.pos)

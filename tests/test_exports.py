@@ -2,7 +2,8 @@
 resolves its type hints.  Annotations are strings under postponed
 evaluation, so a name used in one but never imported shows only here.
 And the converse: no module imports a name it never reads, and no private
-helper goes unread."""
+helper goes unread.  Last, the guards at the entry points refuse what they
+must, with their own error type and message."""
 
 import ast
 import inspect
@@ -10,7 +11,13 @@ from collections import Counter
 import typing
 from pathlib import Path
 
+import pytest
+
 import derivcover
+from derivcover import cosets, cover, poly
+from derivcover.errors import ContextMismatchError, ExactDivisionError
+from derivcover.jets import JetContext, Operator
+from derivcover.poly import MPoly, RatFunc, VarRegistry
 
 
 def _exported():
@@ -100,3 +107,57 @@ def test_every_private_helper_has_a_caller():
     modules = sorted(Path(derivcover.__file__).parent.glob("*.py"))
     sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
     assert len(sources) > 5 and _private_helpers_without_caller(sources) == []
+
+
+def _t() -> RatFunc:
+    """The variable t of a fresh plain registry."""
+    reg = VarRegistry()
+    return RatFunc.var(reg, reg.add_generator("t"))
+
+
+def _point() -> cover.CoverPoint:
+    x = JetContext(1, 1, 1).gen()
+    return cover.CoverPoint(x, x)
+
+
+def _twice_t() -> None:
+    reg = VarRegistry()
+    reg.add_generator("t")
+    reg.add_generator("t")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: cosets.affine_relation([_t(), _t()]), ContextMismatchError,
+         "functions belong to different registries"),
+        (lambda: cosets.coset_free_powers(0), ValueError, "need n >= 1"),
+        (lambda: cover.star(_t(), _point()), ContextMismatchError,
+         "field element and point contexts differ"),
+        (lambda: cover.otimes_power(_point(), 0), ValueError, "otimes_power needs k >= 1"),
+        (lambda: cover.sigma(Operator.word((0,)), cover.CoverPoint(_t(), _t())),
+         ContextMismatchError, "point does not live in a jet context"),
+        (lambda: JetContext(0), ValueError, "need at least one generator"),
+        (lambda: JetContext(1, -1), ValueError,
+         "alphabet size and word length must be nonnegative"),
+        (lambda: JetContext(1, 1, 1).jet(0, ()), ValueError,
+         "no jet symbol for generator 0 and word ()"),
+        (lambda: JetContext(1, 1, 1).jet(1, (0,)), ValueError,
+         "no jet symbol for generator 1 and word (0,)"),
+        (_twice_t, ValueError, "variable 't' already allocated"),
+        (lambda: MPoly.var(VarRegistry(), 0), ValueError, "variable index 0 is not allocated"),
+        (lambda: RatFunc.make((t := _t()).den, t.num).as_poly(), ValueError,
+         "rational function has a nontrivial denominator"),
+        (lambda: poly._int_quo(7, 2), ExactDivisionError, "division is not exact"),
+    ],
+    ids=[
+        "affine-relation-two-registries", "coset-free-powers-0", "star-other-context",
+        "otimes-power-0", "sigma-plain-registry", "jet-context-no-generator",
+        "jet-context-negative-alphabet", "jet-empty-word", "jet-generator-out-of-range",
+        "add-generator-twice", "var-unallocated", "as-poly-fraction", "int-quo-inexact",
+    ],
+)
+def test_entry_point_guards(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -42,6 +42,8 @@ per part, so two checkouts give the same answers when every line matches:
                    powers, scalings, quotients and gcds of ARITH_POLYS and
                    ARITH_FRACTIONS, of RatFunc.make with a zero numerator, and
                    of derive on ARITH_JET_POLYS
+    operator-errors  the text and JSON reports of `dn check --n 1` on the
+                   malformed operators of OPERATOR_ERRORS
 """
 
 import hashlib
@@ -231,6 +233,10 @@ ARITH_FRACTIONS = [
 ARITH_JET_POLYS = ["0", "7", "x1", "x1^2*x2 - 3", "x1*x2/2 + x2^3"]
 
 
+# Malformed operator texts: fraction coefficients without a denominator or
+# with a zero one, signs where no term or letter may start, and bad letters.
+OPERATOR_ERRORS = ["2/D1", "2/", "3/-2*D1", "1/0*D1", "--D1", "D1+-D2", "2*-D1", "D0", "D1."]
+
 # Malformed argv, as the argparse tree once answered them: a head that names
 # no command, or a whole command, in either format, with one stray part.
 OTHER_HEADS = [["dn"], ["cover"], ["bogus"], ["dn", "bogus"], [], ["dn check"]]
@@ -352,9 +358,14 @@ def main() -> None:
             for text in (report.to_text(), report.to_json())
         ),
         "arith": sha256(arith_answers()),
+        "operator-errors": sha256(
+            text for op in OPERATOR_ERRORS
+            for report in [cli.run(["dn", "check", "--n", "1", "--op", op])]
+            for text in (report.to_text(), report.to_json())
+        ),
     }
     for name, digest in parts.items():
-        print(f"{name:<14} {digest}")
+        print(f"{name:<15} {digest}")
 
 
 if __name__ == "__main__":
